@@ -41,7 +41,10 @@ struct ExactResult {
   FeasibilityStatus status = FeasibilityStatus::kUnknown;
   /// A feasible static schedule (verified), when status == kFeasible.
   std::optional<StaticSchedule> schedule;
-  /// Number of distinct states expanded.
+  /// Number of distinct states expanded. Reproducible only with
+  /// ExactOptions::n_threads = 1: the default (0) runs the parallel
+  /// engine on any host with more than one core, and there this count
+  /// depends on the host and the run.
   std::size_t states_explored = 0;
   /// True when the search was abandoned through ExactOptions::cancel
   /// before reaching an answer. Status is kUnknown in that case unless
@@ -77,7 +80,10 @@ struct ExactOptions {
   /// same state_budget. The FeasibilityStatus is the same as the
   /// serial search's (both are sound and complete); the witness
   /// schedule may be a different feasible cycle, and states_explored
-  /// counts unique expansions across all workers.
+  /// counts unique expansions across all workers. The default (0)
+  /// therefore runs the parallel engine on any host with more than one
+  /// core, and states_explored and the witness depend on the host and
+  /// the run; a caller or test that needs a reproducible count sets 1.
   std::size_t n_threads = 0;
   /// Cooperative cancellation: when non-null and set, the search stops
   /// at the next expansion boundary (serial and parallel alike) and
