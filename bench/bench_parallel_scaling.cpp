@@ -1,14 +1,15 @@
-// E16 — parallel verification & feasibility scaling (ISSUE 2).
+// E16 — parallel verification scaling.
 //
-// Sweeps the n_threads knob over {1, 2, 4, 8} for (a) verify_schedule
-// on a batch of generated model/schedule pairs and (b) the exact
-// Theorem-1 game search, and reports wall time, speedup over the serial
-// path, unique states per second, and the verifier's memo hit rate.
-// Emits BENCH_parallel.json in the working directory for tooling.
+// Sweeps the n_threads knob over {1, 2, 4, 8} for verify_schedule on a
+// batch of generated model/schedule pairs, and reports wall time,
+// speedup over the serial path, and the verifier's memo hit rate. The
+// exact Theorem-1 game search is single-threaded by design (its
+// parallelism is batch-level), so it has no row here. Emits
+// BENCH_parallel.json in the working directory for tooling.
 //
 // Speedups above 1x are only reachable on multi-core hosts. On a
-// single hardware thread the engines clamp their worker count to the
-// core count (util::resolve_threads) and run the partitioned plan
+// single hardware thread the verifier clamps its worker count to the
+// core count (util::resolve_threads) and runs the partitioned plan
 // inline, so n_threads >= 2 stays within noise of the serial path
 // instead of collapsing (the historical E16 pathology — see
 // EXPERIMENTS.md E16/E22). Every thread count still exercises the
@@ -18,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "core/feasibility.hpp"
 #include "core/heuristic.hpp"
 #include "core/latency.hpp"
 #include "core/model.hpp"
@@ -78,18 +78,6 @@ std::vector<VerifyCase> make_verify_cases(int count) {
   return cases;
 }
 
-// Exact-search workload: the paper's Figure 1/2 control system (scaled
-// down so the game stays inside the budget), solved fresh each
-// repetition — nothing is cached across runs by construction.
-GraphModel exact_case() {
-  core::ControlSystemParams params;
-  params.px = params.dx = 8;
-  params.py = params.dy = 16;
-  params.pz = 10;
-  params.dz = 8;
-  return core::make_control_system(params);
-}
-
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 }
@@ -99,9 +87,6 @@ struct Row {
   double verify_s = 0;
   double verify_speedup = 1;
   double memo_hit_rate = 0;
-  double exact_s = 0;
-  double exact_speedup = 1;
-  double states_per_s = 0;
 };
 
 }  // namespace
@@ -110,15 +95,12 @@ int main() {
   constexpr std::size_t kThreads[] = {1, 2, 4, 8};
   constexpr int kVerifyCases = 12;
   constexpr int kVerifyReps = 40;
-  constexpr int kExactReps = 5;
 
   const auto cases = make_verify_cases(kVerifyCases);
-  const GraphModel exact_model = exact_case();
 
   std::printf("# E16: parallel scaling (hardware_concurrency = %zu)\n",
               rtg::util::resolve_threads(0));
-  std::printf("%8s %12s %9s %9s %12s %9s %12s\n", "threads", "verify[s]", "speedup",
-              "memo%", "exact[s]", "speedup", "states/s");
+  std::printf("%8s %12s %9s %9s\n", "threads", "verify[s]", "speedup", "memo%");
 
   std::vector<Row> rows;
   for (const std::size_t n_threads : kThreads) {
@@ -126,7 +108,7 @@ int main() {
     row.threads = n_threads;
 
     std::size_t queries = 0, hits = 0;
-    auto t0 = std::chrono::steady_clock::now();
+    const auto t0 = std::chrono::steady_clock::now();
     for (int rep = 0; rep < kVerifyReps; ++rep) {
       for (const VerifyCase& c : cases) {
         core::VerifyStats stats;  // per-call counters; summed below
@@ -145,30 +127,9 @@ int main() {
     const double answered = static_cast<double>(queries + hits);
     row.memo_hit_rate = answered > 0 ? static_cast<double>(hits) / answered : 0;
 
-    std::size_t states = 0;
-    t0 = std::chrono::steady_clock::now();
-    for (int rep = 0; rep < kExactReps; ++rep) {
-      core::ExactOptions options;
-      options.state_budget = 500'000;
-      options.n_threads = n_threads;
-      const core::ExactResult r = core::exact_feasible(exact_model, options);
-      states += r.states_explored;
-      if (r.status == core::FeasibilityStatus::kUnknown) {
-        std::fprintf(stderr, "exact search hit the budget!\n");
-        return 1;
-      }
-    }
-    row.exact_s = seconds_since(t0);
-    row.states_per_s =
-        row.exact_s > 0 ? static_cast<double>(states) / row.exact_s : 0;
-
-    if (!rows.empty()) {
-      row.verify_speedup = rows.front().verify_s / row.verify_s;
-      row.exact_speedup = rows.front().exact_s / row.exact_s;
-    }
-    std::printf("%8zu %12.4f %9.2f %8.1f%% %12.4f %9.2f %12.0f\n", row.threads,
-                row.verify_s, row.verify_speedup, 100.0 * row.memo_hit_rate,
-                row.exact_s, row.exact_speedup, row.states_per_s);
+    if (!rows.empty()) row.verify_speedup = rows.front().verify_s / row.verify_s;
+    std::printf("%8zu %12.4f %9.2f %8.1f%%\n", row.threads, row.verify_s,
+                row.verify_speedup, 100.0 * row.memo_hit_rate);
     rows.push_back(row);
   }
 
@@ -196,10 +157,9 @@ int main() {
     const Row& r = rows[i];
     std::fprintf(out,
                  "    {\"threads\": %zu, \"verify_s\": %.6f, \"verify_speedup\": %.3f, "
-                 "\"memo_hit_rate\": %.4f, \"exact_s\": %.6f, \"exact_speedup\": %.3f, "
-                 "\"states_per_s\": %.1f}%s\n",
-                 r.threads, r.verify_s, r.verify_speedup, r.memo_hit_rate, r.exact_s,
-                 r.exact_speedup, r.states_per_s, i + 1 < rows.size() ? "," : "");
+                 "\"memo_hit_rate\": %.4f}%s\n",
+                 r.threads, r.verify_s, r.verify_speedup, r.memo_hit_rate,
+                 i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");
   std::fclose(out);

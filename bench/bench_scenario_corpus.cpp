@@ -74,7 +74,6 @@ void account(const gen::TournamentRow& row) {
 int main() {
   gen::TournamentOptions tournament;
   tournament.exact_budget = 8'000;
-  tournament.exact_threads = 1;
 
   // Part 1: feasibility frontiers per topology family.
   const gen::Topology kTopologies[] = {gen::Topology::kChain, gen::Topology::kForkJoin,

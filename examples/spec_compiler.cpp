@@ -116,8 +116,9 @@ int usage() {
                "                file; opts are comma-separated key=value pairs,\n"
                "                e.g. topology=layered,seed=17,util=0.4 or\n"
                "                domain=avionics,seed=3 (see docs/SCENARIOS.md)\n"
-               "  --threads N   worker threads for verification and the exact\n"
-               "                search (0 = hardware concurrency, 1 = serial)\n"
+               "  --threads N   worker threads for verification and synthesis\n"
+               "                (0 = hardware concurrency, 1 = serial; the\n"
+               "                --exact search is always single-threaded)\n"
                "  --stats       with --verify or --map: print the engine\n"
                "                counters (queries, memo hits, seeks, bitset\n"
                "                skips, arena peak, threads; seam windows)\n"
@@ -540,7 +541,6 @@ int run(int argc, char** argv) {
   if (want_exact) {
     core::ExactOptions options;
     options.state_budget = 500'000;
-    options.n_threads = n_threads;
     const core::ExactResult r = core::exact_feasible(model, options);
     switch (r.status) {
       case core::FeasibilityStatus::kFeasible:

@@ -3,17 +3,13 @@
 #include "core/bounds.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <deque>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "rt/task.hpp"  // lcm_checked
-#include "util/striped_map.hpp"
-#include "util/thread_pool.hpp"
 
 namespace rtg::core {
 
@@ -82,8 +78,8 @@ struct GameContext {
 
   std::deque<std::uint32_t> window;  // always exactly D slots
   Time clock = 0;                    // total slots emitted
-  // Decoded-window arena reused across checks; contexts are per-worker,
-  // so the mutable scratch is race-free.
+  // Decoded-window arena reused across the millions of window checks
+  // one search performs.
   mutable std::vector<ScheduledOp> ops_scratch;
 
   explicit GameContext(const GraphModel& m) : model(m) {
@@ -206,8 +202,8 @@ std::vector<ElementId> choice_order(const GameContext& ctx, std::size_t n_elemen
 }
 
 // Serial verification options for candidate cycles: the schedules are
-// tiny and accept_cycle may already be running on a pool worker, so
-// nesting another pool per candidate would only add overhead.
+// tiny, and the search may itself run on a batch worker, so a pool per
+// candidate would only add overhead.
 constexpr VerifyOptions kSerialVerify{1, nullptr};
 
 // Verifies a candidate cycle against the model, trying every
@@ -243,12 +239,10 @@ bool leaner_cycle(const StaticSchedule& a, const StaticSchedule& b) {
   return a.length() < b.length();
 }
 
-// ---------------------------------------------------------------------------
-// Serial legacy search (n_threads == 1): exactly the original
-// single-threaded DFS over the game's state graph.
-// ---------------------------------------------------------------------------
-
-ExactResult exact_serial(const GraphModel& model, const ExactOptions& options) {
+// The game search: a single-threaded DFS over the game's state graph.
+// Its visit order, and so its status under a budget, states_explored
+// and witness, depend only on the model and the options.
+ExactResult search_game(const GraphModel& model, const ExactOptions& options) {
   GameContext ctx(model);
   const std::size_t n_elements = model.comm().size();
 
@@ -388,377 +382,6 @@ ExactResult exact_serial(const GraphModel& model, const ExactOptions& options) {
   return result;
 }
 
-// ---------------------------------------------------------------------------
-// Parallel search (n_threads > 1).
-//
-// Phase 1 enumerates, serially, every violation-free game prefix of a
-// small fixed depth — the shared frontier. Self-intersecting prefixes
-// are cycle candidates and are resolved on the spot. Phase 2 hands each
-// frontier prefix to the pool; a worker replays the prefix and runs the
-// same DFS as the serial search over the subtree below it, treating the
-// prefix states as on-path (so cycles closing into the prefix are still
-// caught).
-//
-// Workers share two lock-striped sets: `expanded` (every state any
-// worker has started expanding — the unit of state_budget accounting,
-// each unique state charged once) and `black` (states whose entire
-// subtree some worker finished without finding an acceptable cycle).
-// Black states are pruned globally: a completed exploration from a
-// state is conclusive no matter which path reached it. States that are
-// merely in progress on another worker are *not* pruned — pruning them
-// would make this worker's subtree exploration incomplete — so a little
-// work can be duplicated, but each unique state is only charged once.
-// ---------------------------------------------------------------------------
-
-// One op of the game: an execution of `elem` (or an idle slot run).
-struct GameOp {
-  ElementId elem = kIdleEntry;
-  Time dur = 1;
-};
-
-StaticSchedule schedule_from_ops(const std::vector<GameOp>& ops) {
-  StaticSchedule sched;
-  for (const GameOp& op : ops) {
-    if (op.elem == kIdleEntry) {
-      sched.push_idle(op.dur);
-    } else {
-      sched.push_execution(op.elem, op.dur);
-    }
-  }
-  return sched;
-}
-
-// A frontier prefix: the ops from the initial state and the state keys
-// along the way (keys.size() == ops.size() + 1; keys.front() is the
-// initial state, keys.back() the state a worker starts expanding).
-struct FrontierEntry {
-  std::vector<GameOp> ops;
-  std::vector<std::string> keys;
-};
-
-struct ParallelShared {
-  const GraphModel& model;
-  const ExactOptions& options;
-  std::size_t n_elements;
-  bool has_periodic;
-
-  util::StripedSet<std::string> expanded;  // unique-state accounting
-  util::StripedSet<std::string> black;     // conclusively cycle-free states
-  std::atomic<std::size_t> states{0};
-  std::atomic<bool> stop{false};
-  std::atomic<bool> budget_hit{false};
-  std::atomic<bool> cancelled{false};
-
-  // Folds the caller's cancel flag into the shared stop flag so every
-  // loop that already polls `stop` observes cancellation too.
-  bool should_stop() {
-    if (options.progress != nullptr) {
-      options.progress->fetch_add(1, std::memory_order_relaxed);
-    }
-    if (stop.load(std::memory_order_relaxed)) return true;
-    if (options.cancel != nullptr &&
-        options.cancel->load(std::memory_order_relaxed)) {
-      cancelled.store(true, std::memory_order_relaxed);
-      stop.store(true, std::memory_order_relaxed);
-      return true;
-    }
-    return false;
-  }
-
-  std::mutex cycle_mutex;
-  std::optional<StaticSchedule> best_cycle;
-  std::size_t cycles_found = 0;
-
-  ParallelShared(const GraphModel& m, const ExactOptions& o, bool periodic)
-      : model(m), options(o), n_elements(m.comm().size()), has_periodic(periodic) {}
-
-  // Registers an accepted cycle; signals stop once enough candidates
-  // have been collected (mirroring the serial early return).
-  void record_cycle(StaticSchedule sched) {
-    std::lock_guard<std::mutex> lock(cycle_mutex);
-    ++cycles_found;
-    if (!best_cycle || leaner_cycle(sched, *best_cycle)) {
-      best_cycle = std::move(sched);
-    }
-    if (cycles_found >= options.cycle_candidates) {
-      stop.store(true, std::memory_order_relaxed);
-    }
-  }
-
-  // Charges a state against the budget the first time any worker
-  // expands it. Returns false when the budget would be exceeded (the
-  // caller must not descend); a state someone already charged is free.
-  bool charge_state(const std::string& key) {
-    if (!expanded.insert(key)) return true;  // already charged
-    const std::size_t n = states.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (n > options.state_budget) {
-      budget_hit.store(true, std::memory_order_relaxed);
-      stop.store(true, std::memory_order_relaxed);
-      return false;
-    }
-    return true;
-  }
-};
-
-// Phase 1: depth-bounded serial enumeration of violation-free prefixes.
-// No state dedup across prefixes — distinct paths to one state yield
-// distinct frontier entries, which keeps every possible cycle reachable
-// from at least one worker (the shared black set dedupes the actual
-// exploration in phase 2).
-struct FrontierGen {
-  ParallelShared& sh;
-  GameContext ctx;
-  std::size_t depth_limit;
-
-  std::vector<GameOp> ops;
-  std::vector<std::string> keys;
-  std::vector<FrontierEntry> entries;
-
-  FrontierGen(ParallelShared& shared, std::size_t limit)
-      : sh(shared), ctx(shared.model), depth_limit(limit) {}
-
-  void run() {
-    keys.push_back(ctx.key());
-    sh.charge_state(keys.front());
-    rec();
-  }
-
-  void rec() {
-    const auto order = choice_order(ctx, sh.n_elements, sh.options.order);
-    for (std::size_t choice = 0; choice <= sh.n_elements; ++choice) {
-      if (sh.should_stop()) return;
-      const bool is_idle = choice == sh.n_elements;
-      const ElementId elem = is_idle ? kIdleEntry : order[choice];
-      const Time dur = is_idle ? 1 : sh.model.comm().weight(elem);
-
-      std::vector<std::uint32_t> evicted;
-      bool valid = true;
-      Time emitted = 0;
-      for (Time k = 0; k < dur; ++k) {
-        const std::uint32_t slot = is_idle ? kSlotIdle : encode_slot(elem, k);
-        ++emitted;
-        if (!ctx.emit(slot, evicted)) {
-          valid = false;
-          break;
-        }
-      }
-      if (!valid) {
-        ctx.unwind(evicted, static_cast<std::size_t>(emitted));
-        continue;
-      }
-
-      const std::string key = ctx.key();
-      const auto hit = std::find(keys.begin(), keys.end(), key);
-      if (hit != keys.end()) {
-        // The prefix loops back on itself: a candidate cycle.
-        const auto d = static_cast<std::size_t>(hit - keys.begin());
-        std::vector<GameOp> cycle_ops(ops.begin() + static_cast<std::ptrdiff_t>(d),
-                                      ops.end());
-        cycle_ops.push_back(GameOp{elem, dur});
-        if (auto accepted = accept_cycle(sh.model, schedule_from_ops(cycle_ops),
-                                         sh.has_periodic)) {
-          sh.record_cycle(std::move(*accepted));
-        }
-        ctx.unwind(evicted, static_cast<std::size_t>(dur));
-        continue;
-      }
-
-      ops.push_back(GameOp{elem, dur});
-      keys.push_back(key);
-      if (ops.size() >= depth_limit) {
-        entries.push_back(FrontierEntry{ops, keys});
-      } else if (sh.charge_state(key)) {
-        rec();
-      }
-      ops.pop_back();
-      keys.pop_back();
-      ctx.unwind(evicted, static_cast<std::size_t>(dur));
-    }
-  }
-};
-
-// Phase 2: explore the subtree below one frontier prefix. Same DFS as
-// the serial search, with the prefix states treated as on-path for
-// back-edge detection and the visited set shared through `sh`.
-void search_subtree(ParallelShared& sh, const FrontierEntry& entry) {
-  if (sh.stop.load(std::memory_order_relaxed)) return;
-  const std::string& root_key = entry.keys.back();
-  if (sh.black.contains(root_key)) return;  // conclusively explored already
-
-  GameContext ctx(sh.model);
-  {
-    // Replay the (already validated) prefix.
-    std::vector<std::uint32_t> scratch;
-    for (const GameOp& op : entry.ops) {
-      for (Time k = 0; k < op.dur; ++k) {
-        const std::uint32_t slot =
-            op.elem == kIdleEntry ? kSlotIdle : encode_slot(op.elem, k);
-        (void)ctx.emit(slot, scratch);
-      }
-    }
-  }
-
-  // Prefix states by key, for back edges that close above the subtree.
-  std::unordered_map<std::string, std::size_t> prefix_depth;
-  for (std::size_t i = 0; i + 1 < entry.keys.size(); ++i) {
-    prefix_depth.emplace(entry.keys[i], i);
-  }
-
-  enum : std::uint8_t { kGrey = 1, kBlack = 2 };
-  std::unordered_map<std::string, std::uint8_t> color;      // this worker only
-  std::unordered_map<std::string, std::size_t> grey_depth;  // key -> frame index
-
-  if (!sh.charge_state(root_key)) return;
-
-  std::vector<Frame> path;
-  path.push_back(Frame{root_key, 0, choice_order(ctx, sh.n_elements, sh.options.order),
-                       kIdleEntry, 0, {}});
-  color[root_key] = kGrey;
-  grey_depth[root_key] = 0;
-
-  // Closing a cycle at frame index f (or into the prefix at depth d):
-  // the schedule is the on-path ops from the grey state forward plus
-  // the closing op.
-  auto extract_local = [&](std::size_t from_frame, ElementId closing_elem,
-                           Time closing_dur) {
-    std::vector<GameOp> cycle_ops;
-    for (std::size_t i = from_frame + 1; i < path.size(); ++i) {
-      cycle_ops.push_back(GameOp{path[i].arrived_elem, path[i].arrived_dur});
-    }
-    cycle_ops.push_back(GameOp{closing_elem, closing_dur});
-    return schedule_from_ops(cycle_ops);
-  };
-  auto extract_through_prefix = [&](std::size_t prefix_from, ElementId closing_elem,
-                                    Time closing_dur) {
-    std::vector<GameOp> cycle_ops(entry.ops.begin() +
-                                      static_cast<std::ptrdiff_t>(prefix_from),
-                                  entry.ops.end());
-    for (std::size_t i = 1; i < path.size(); ++i) {
-      cycle_ops.push_back(GameOp{path[i].arrived_elem, path[i].arrived_dur});
-    }
-    cycle_ops.push_back(GameOp{closing_elem, closing_dur});
-    return schedule_from_ops(cycle_ops);
-  };
-
-  while (!path.empty()) {
-    if (sh.should_stop()) return;
-    Frame& frame = path.back();
-    if (frame.next_choice > sh.n_elements) {
-      // Exhausted: conclusively no acceptable cycle below this state.
-      color[frame.key] = kBlack;
-      grey_depth.erase(frame.key);
-      sh.black.insert(frame.key);
-      const std::size_t dur = static_cast<std::size_t>(frame.arrived_dur);
-      Frame done = std::move(path.back());
-      path.pop_back();
-      if (!path.empty()) {
-        ctx.unwind(done.evicted, dur);
-      }
-      continue;
-    }
-
-    const std::size_t choice = frame.next_choice++;
-    const bool is_idle = choice == sh.n_elements;
-    const ElementId elem = is_idle ? kIdleEntry : frame.order[choice];
-    const Time dur = is_idle ? 1 : sh.model.comm().weight(elem);
-
-    std::vector<std::uint32_t> evicted;
-    bool valid = true;
-    Time emitted = 0;
-    for (Time k = 0; k < dur; ++k) {
-      const std::uint32_t slot = is_idle ? kSlotIdle : encode_slot(elem, k);
-      ++emitted;
-      if (!ctx.emit(slot, evicted)) {
-        valid = false;
-        break;
-      }
-    }
-    if (!valid) {
-      ctx.unwind(evicted, static_cast<std::size_t>(emitted));
-      continue;
-    }
-
-    const std::string key = ctx.key();
-    // Back edges must be checked before the shared black set: a state
-    // on *this* worker's path witnesses a cycle no matter what other
-    // workers concluded about their own explorations through it.
-    const auto it = color.find(key);
-    if (it != color.end() && it->second == kGrey) {
-      if (auto accepted = accept_cycle(
-              sh.model, extract_local(grey_depth[key], elem, dur), sh.has_periodic)) {
-        sh.record_cycle(std::move(*accepted));
-      }
-      ctx.unwind(evicted, static_cast<std::size_t>(dur));
-      continue;
-    }
-    const auto pit = prefix_depth.find(key);
-    if (pit != prefix_depth.end()) {
-      if (auto accepted = accept_cycle(
-              sh.model, extract_through_prefix(pit->second, elem, dur),
-              sh.has_periodic)) {
-        sh.record_cycle(std::move(*accepted));
-      }
-      ctx.unwind(evicted, static_cast<std::size_t>(dur));
-      continue;
-    }
-    if ((it != color.end() && it->second == kBlack) || sh.black.contains(key)) {
-      ctx.unwind(evicted, static_cast<std::size_t>(dur));
-      continue;
-    }
-
-    if (!sh.charge_state(key)) {
-      ctx.unwind(evicted, static_cast<std::size_t>(dur));
-      continue;
-    }
-    color[key] = kGrey;
-    grey_depth[key] = path.size();
-    path.push_back(Frame{key, 0, choice_order(ctx, sh.n_elements, sh.options.order),
-                         elem, dur, std::move(evicted)});
-  }
-}
-
-ExactResult exact_parallel(const GraphModel& model, const ExactOptions& options,
-                           std::size_t n_threads) {
-  GameContext probe(model);
-  ParallelShared sh(model, options, probe.has_periodic);
-
-  // Frontier depth: just deep enough that the full branching tree has
-  // ~4 tasks per worker to steal from; capped so phase 1 stays cheap.
-  const std::size_t branching = sh.n_elements + 1;
-  const std::size_t target = 4 * n_threads;
-  std::size_t depth = 1;
-  for (std::size_t width = branching; width < target && depth < 8; width *= branching) {
-    ++depth;
-  }
-
-  FrontierGen gen(sh, depth);
-  gen.run();
-
-  if (!sh.stop.load() && !gen.entries.empty()) {
-    util::ThreadPool pool(n_threads);
-    for (const FrontierEntry& entry : gen.entries) {
-      pool.submit([&sh, &entry] { search_subtree(sh, entry); });
-    }
-    pool.wait_idle();
-  }
-
-  ExactResult result;
-  result.states_explored = sh.states.load();
-  std::lock_guard<std::mutex> lock(sh.cycle_mutex);
-  if (sh.best_cycle) {
-    result.status = FeasibilityStatus::kFeasible;
-    result.schedule = std::move(sh.best_cycle);
-  } else if (sh.cancelled.load()) {
-    result.status = FeasibilityStatus::kUnknown;
-    result.cancelled = true;
-  } else if (sh.budget_hit.load()) {
-    result.status = FeasibilityStatus::kUnknown;
-  } else {
-    result.status = FeasibilityStatus::kInfeasible;
-  }
-  return result;
-}
-
 }  // namespace
 
 ExactResult exact_feasible(const GraphModel& model, const ExactOptions& options) {
@@ -782,9 +405,7 @@ ExactResult exact_feasible(const GraphModel& model, const ExactOptions& options)
     return r;
   }
 
-  const std::size_t n_threads = util::resolve_threads(options.n_threads);
-  if (n_threads <= 1) return exact_serial(model, options);
-  return exact_parallel(model, options, n_threads);
+  return search_game(model, options);
 }
 
 namespace {

@@ -41,10 +41,9 @@ struct ExactResult {
   FeasibilityStatus status = FeasibilityStatus::kUnknown;
   /// A feasible static schedule (verified), when status == kFeasible.
   std::optional<StaticSchedule> schedule;
-  /// Number of distinct states expanded. Reproducible only with
-  /// ExactOptions::n_threads = 1: the default (0) runs the parallel
-  /// engine on any host with more than one core, and there this count
-  /// depends on the host and the run.
+  /// Number of distinct states expanded. The search is one
+  /// single-threaded DFS, so this count (like the status and the
+  /// witness) depends only on the model and the options.
   std::size_t states_explored = 0;
   /// True when the search was abandoned through ExactOptions::cancel
   /// before reaching an answer. Status is kUnknown in that case unless
@@ -72,23 +71,14 @@ struct ExactOptions {
   /// shortest), trading solve time for schedule quality — the knob the
   /// E14 experiment motivates.
   std::size_t cycle_candidates = 1;
-  /// Worker threads for the game search. 0 = hardware concurrency;
-  /// 1 = the exact single-threaded legacy search. With more than one
-  /// thread, workers expand disjoint subtrees seeded from a shared
-  /// frontier of short game prefixes, share a lock-striped
-  /// visited-state set, and charge unique state expansions against the
-  /// same state_budget. The FeasibilityStatus is the same as the
-  /// serial search's (both are sound and complete); the witness
-  /// schedule may be a different feasible cycle, and states_explored
-  /// counts unique expansions across all workers. The default (0)
-  /// therefore runs the parallel engine on any host with more than one
-  /// core, and states_explored and the witness depend on the host and
-  /// the run; a caller or test that needs a reproducible count sets 1.
+  /// Accepted and ignored: the game search is single-threaded. Exact
+  /// work runs in parallel at batch level instead, one search per
+  /// service worker. Kept only so existing callers still compile.
   std::size_t n_threads = 0;
   /// Cooperative cancellation: when non-null and set, the search stops
-  /// at the next expansion boundary (serial and parallel alike) and
-  /// returns with cancelled = true. The service layer points this at a
-  /// per-job flag to enforce deadlines on the NP-hard search.
+  /// at its next poll (one every 64 DFS steps) and returns with
+  /// cancelled = true. The service layer points this at a per-job flag
+  /// to enforce deadlines on the NP-hard search.
   const std::atomic<bool>* cancel = nullptr;
   /// Liveness beacon: when non-null the search bumps it (relaxed) at
   /// every cancellation poll, so a watchdog can tell a slow-but-alive

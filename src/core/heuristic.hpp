@@ -99,7 +99,10 @@ struct HeuristicResult {
 };
 
 /// Runs the constructive heuristic. Guaranteed to succeed when
-/// model.satisfies_theorem3(); best-effort (verified) otherwise.
+/// model.satisfies_theorem3() and the server hyperperiod fits under
+/// HeuristicOptions::max_schedule_length; a longer hyperperiod is
+/// refused as a resource limit even under Theorem 3 (for example
+/// gen::corpus_options(374)). Best-effort (verified) otherwise.
 [[nodiscard]] HeuristicResult latency_schedule(const GraphModel& model,
                                                const HeuristicOptions& options = {});
 

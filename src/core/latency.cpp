@@ -1270,8 +1270,11 @@ FeasibilityReport verify_parallel(const StaticSchedule& sched, const GraphModel&
       }
       part_peaks[pi] = arena.bytes_peak();
     };
-    if (util::resolve_threads(n_threads) > 1) {
-      util::ThreadPool pool(n_threads);
+    const std::size_t pool_threads = util::resolve_threads(n_threads);
+    if (pool_threads > 1) {
+      // Sized by the clamped count: workers beyond the cores only
+      // preempt the ones that run. The parts still follow n_threads.
+      util::ThreadPool pool(pool_threads);
       for (std::size_t pi = 0; pi < parts.size(); ++pi) {
         pool.submit([&run_part, pi] { run_part(pi); });
       }

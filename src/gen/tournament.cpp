@@ -154,7 +154,6 @@ TournamentRow run_tournament_row(const Scenario& scenario,
   if (options.run_exact) {
     core::ExactOptions xo;
     xo.state_budget = options.exact_budget;
-    xo.n_threads = options.exact_threads;
     core::ExactResult exact;
     try {
       exact = core::exact_feasible(pipelined, xo);

@@ -43,7 +43,6 @@ struct TournamentOptions {
   /// default: big instances answer kUnknown instead of stalling a
   /// 500-seed sweep.
   std::size_t exact_budget = 20'000;
-  std::size_t exact_threads = 1;
   /// Thread counts every feasible report must be bit-identical across.
   std::vector<std::size_t> verify_threads = {1, 2, 4};
   /// Skip the exact engine entirely (frontier sweeps that only need the

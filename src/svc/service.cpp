@@ -529,7 +529,6 @@ JobResponse VerifyService::execute(Job& job, bool degraded,
   if (run_exact) {
     core::ExactOptions opts;
     opts.state_budget = options_.exact_state_budget;
-    opts.n_threads = 1;
     opts.cancel = &job.cancel;
     opts.progress = progress;
     const core::ExactResult result = core::exact_feasible(model, opts);

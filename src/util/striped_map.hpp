@@ -1,17 +1,10 @@
-// striped_map.hpp — lock-striped hash containers for shared state.
+// striped_map.hpp — a lock-striped LRU map for shared caches.
 //
-// The parallel engines share two kinds of state across workers: a memo
-// table of embedding-query results and the visited-state set of the
-// simulation game. Both see high-frequency point lookups/inserts from
-// many threads with no cross-key operations, so a fixed array of
+// The service result cache sees point lookups and inserts from many
+// workers with no cross-key operations, so a fixed array of
 // independently locked shards (stripes) keyed by hash suffices:
 // contention drops by the stripe count, and no resize of a global
 // table ever stalls every worker at once.
-//
-// First-write-wins semantics: values inserted for a key are never
-// replaced. The engines only store results of deterministic
-// computations, so racing writers always carry equal values and either
-// may win.
 #pragma once
 
 #include <atomic>
@@ -21,64 +14,15 @@
 #include <mutex>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace rtg::util {
 
-template <typename K, typename V, typename Hash = std::hash<K>>
-class StripedMap {
- public:
-  explicit StripedMap(std::size_t stripes = 64) : shards_(stripes) {}
-
-  /// Returns the value stored for `key`, if any.
-  [[nodiscard]] std::optional<V> get(const K& key) const {
-    const Shard& shard = shard_for(key);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto it = shard.map.find(key);
-    if (it == shard.map.end()) return std::nullopt;
-    return it->second;
-  }
-
-  /// Inserts key -> value unless the key is present; returns true iff
-  /// this call inserted.
-  bool put_if_absent(const K& key, const V& value) {
-    Shard& shard = shard_for(key);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    return shard.map.emplace(key, value).second;
-  }
-
-  [[nodiscard]] std::size_t size() const {
-    std::size_t total = 0;
-    for (const Shard& shard : shards_) {
-      std::lock_guard<std::mutex> lock(shard.mutex);
-      total += shard.map.size();
-    }
-    return total;
-  }
-
- private:
-  struct Shard {
-    mutable std::mutex mutex;
-    std::unordered_map<K, V, Hash> map;
-  };
-
-  [[nodiscard]] Shard& shard_for(const K& key) {
-    return shards_[Hash{}(key) % shards_.size()];
-  }
-  [[nodiscard]] const Shard& shard_for(const K& key) const {
-    return shards_[Hash{}(key) % shards_.size()];
-  }
-
-  std::vector<Shard> shards_;
-};
-
-/// Lock-striped map with per-shard LRU eviction: the bounded flavor of
-/// StripedMap for long-lived caches (the service result cache). Unlike
-/// StripedMap, put() replaces existing values, and each shard holds at
-/// most ceil(capacity / stripes) entries — inserting beyond that evicts
-/// the shard's least-recently-used entry (gets and puts both refresh
-/// recency). Eviction is per-shard, so a skewed key distribution can
+/// Lock-striped map with per-shard LRU eviction for long-lived caches
+/// (the service result cache). put() replaces existing values, and each
+/// shard holds at most ceil(capacity / stripes) entries — inserting
+/// beyond that evicts the shard's least-recently-used entry (gets and
+/// puts both refresh recency). Eviction is per-shard, so a skewed key distribution can
 /// evict earlier than a global-LRU would; for a cache that is only a
 /// correctness-preserving memo, that is an acceptable trade for never
 /// taking more than one lock per operation.
@@ -185,42 +129,6 @@ class StripedLruMap {
   std::vector<Shard> shards_;
   std::size_t per_shard_cap_ = 1;
   std::atomic<std::size_t> evictions_count_{0};
-};
-
-template <typename K, typename Hash = std::hash<K>>
-class StripedSet {
- public:
-  explicit StripedSet(std::size_t stripes = 64) : shards_(stripes) {}
-
-  /// Inserts `key`; returns true iff it was absent (first inserter).
-  bool insert(const K& key) {
-    Shard& shard = shards_[Hash{}(key) % shards_.size()];
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    return shard.set.insert(key).second;
-  }
-
-  [[nodiscard]] bool contains(const K& key) const {
-    const Shard& shard = shards_[Hash{}(key) % shards_.size()];
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    return shard.set.count(key) != 0;
-  }
-
-  [[nodiscard]] std::size_t size() const {
-    std::size_t total = 0;
-    for (const Shard& shard : shards_) {
-      std::lock_guard<std::mutex> lock(shard.mutex);
-      total += shard.set.size();
-    }
-    return total;
-  }
-
- private:
-  struct Shard {
-    mutable std::mutex mutex;
-    std::unordered_set<K, Hash> set;
-  };
-
-  std::vector<Shard> shards_;
 };
 
 }  // namespace rtg::util

@@ -148,6 +148,36 @@ TEST(ExactFeasible, BudgetExhaustionReportsUnknown) {
   EXPECT_EQ(r.status, FeasibilityStatus::kUnknown);
 }
 
+// A tiny state budget is respected: the search either answers within it
+// or reports kUnknown, and a kFeasible answer carries a witness that
+// verifies.
+TEST(ExactFeasible, TinyBudgetIsSoundOrUnknown) {
+  sim::Rng rng(20260806);
+  for (int trial = 0; trial < 10; ++trial) {
+    CommGraph comm;
+    const auto n = static_cast<std::size_t>(rng.uniform(1, 4));
+    for (std::size_t i = 0; i < n; ++i) {
+      comm.add_element("e" + std::to_string(i), rng.uniform(1, 2));
+    }
+    GraphModel model(std::move(comm));
+    const int k = static_cast<int>(rng.uniform(1, 3));
+    for (int c = 0; c < k; ++c) {
+      const auto e = static_cast<ElementId>(rng.uniform(0, static_cast<Time>(n) - 1));
+      model.add_constraint(TimingConstraint{
+          "c" + std::to_string(c), single(e), rng.uniform(1, 6), rng.uniform(2, 6),
+          rng.chance(0.4) ? ConstraintKind::kPeriodic : ConstraintKind::kAsynchronous});
+    }
+    ExactOptions options;
+    options.state_budget = 2;
+    const ExactResult r = exact_feasible(model, options);
+    EXPECT_LE(r.states_explored, options.state_budget) << "trial " << trial;
+    if (r.status == FeasibilityStatus::kFeasible) {
+      ASSERT_TRUE(r.schedule.has_value()) << "trial " << trial;
+      EXPECT_TRUE(verify_schedule(*r.schedule, model).feasible) << "trial " << trial;
+    }
+  }
+}
+
 TEST(ExactFeasible, OversizedWeightThrows) {
   CommGraph comm;
   comm.add_element("w", 300, false);

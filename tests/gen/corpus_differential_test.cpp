@@ -73,7 +73,6 @@ ScenarioOptions minimize(ScenarioOptions options, const TournamentOptions& to) {
 TEST(CorpusDifferential, TournamentRunsGreenAcrossTheCorpus) {
   TournamentOptions to;
   to.exact_budget = 12'000;  // corpus-sized: answers or kUnknown, fast
-  to.exact_threads = 1;
 
   const std::uint64_t n = corpus_size();
   std::size_t feasible = 0;

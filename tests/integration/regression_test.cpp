@@ -1,12 +1,9 @@
 // Golden regression tests: pinned end-to-end numbers for the paper's
-// control system and the hardness gadgets. Every pinned number comes
-// from a deterministic path (fixed seeds, deterministic tie-breaks), so
-// any change to these values is a behavioural change that should be
-// deliberate. exact_feasible under default options is not such a path
-// on a multi-core host: it runs the parallel engine, whose
-// states_explored and witness vary between runs. Golden pins of
-// exact-search counters therefore request n_threads = 1 (see
-// docs/API.md, Determinism guarantees).
+// control system, the hardness gadgets and the exact game search. Every
+// pinned number comes from a deterministic path (fixed seeds,
+// deterministic tie-breaks, one single-threaded game search), so any
+// change to these values is a behavioural change that should be
+// deliberate.
 #include <gtest/gtest.h>
 
 #include "core/bounds.hpp"
@@ -14,7 +11,9 @@
 #include "core/heuristic.hpp"
 #include "core/npc.hpp"
 #include "core/optimize.hpp"
+#include "core/pipeline.hpp"
 #include "core/synthesis.hpp"
+#include "gen/generator.hpp"
 
 namespace rtg {
 namespace {
@@ -59,15 +58,13 @@ TEST(Golden, ControlSystemProcessSynthesis) {
 
 TEST(Golden, ExactGameBoundaryInstance) {
   // Three unit constraints at deadline 3: the LRU-guided game closes a
-  // cycle after exactly 6 states. That count belongs to the serial
-  // search (n_threads = 1); the parallel engine's states_explored and
-  // witness vary between runs (docs/API.md, Determinism guarantees).
+  // cycle after exactly 6 states.
   //
-  // Serial trace, writing P for a slot before the run starts: the root
-  // P P P, then LRU ties broken in id order append e0, e1, e2 (P P e0,
-  // P e0 e1, e0 e1 e2 — no window closes before clock 3), then e0, e1
-  // (e1 e2 e0, e2 e0 e1); appending e2 reaches the grey e0 e1 e2 again.
-  // No backtracking: 1 + 5 = 6 states, cycle e0 e1 e2 (length 3, busy 3).
+  // Trace, writing P for a slot before the run starts: the root P P P,
+  // then LRU ties broken in id order append e0, e1, e2 (P P e0, P e0 e1,
+  // e0 e1 e2 — no window closes before clock 3), then e0, e1 (e1 e2 e0,
+  // e2 e0 e1); appending e2 reaches the grey e0 e1 e2 again. No
+  // backtracking: 1 + 5 = 6 states, cycle e0 e1 e2 (length 3, busy 3).
   core::CommGraph comm;
   for (int i = 0; i < 3; ++i) {
     comm.add_element("e" + std::to_string(i), 1, false);
@@ -80,22 +77,41 @@ TEST(Golden, ExactGameBoundaryInstance) {
         "c" + std::to_string(e), std::move(tg), 1, 3,
         core::ConstraintKind::kAsynchronous});
   }
-  core::ExactOptions serial;
-  serial.n_threads = 1;
-  const core::ExactResult r = core::exact_feasible(model, serial);
+  const core::ExactResult r = core::exact_feasible(model);
   ASSERT_EQ(r.status, core::FeasibilityStatus::kFeasible);
   EXPECT_EQ(r.states_explored, 6u);
   EXPECT_EQ(r.schedule->length(), 3);
   EXPECT_EQ(r.schedule->busy(), 3);
+}
 
-  // Default options (parallel on a multi-core host): only the serial
-  // status and a witness that re-verifies are promised.
-  const core::ExactResult d = core::exact_feasible(model);
-  ASSERT_EQ(d.status, core::FeasibilityStatus::kFeasible);
-  ASSERT_TRUE(d.schedule.has_value());
-  core::VerifyOptions verify;
-  verify.n_threads = 1;
-  EXPECT_TRUE(core::verify_schedule(*d.schedule, model, verify).feasible);
+// The game search on the pipelined model of one corpus scenario, with
+// default options except the state budget.
+core::ExactResult exact_on_corpus(std::uint64_t index, std::size_t state_budget) {
+  const gen::Scenario scenario = gen::generate(gen::corpus_options(index));
+  core::ExactOptions options;
+  options.state_budget = state_budget;
+  return core::exact_feasible(core::pipeline_model(scenario.model).model, options);
+}
+
+// Corpus instances decided within their budget only because the budget
+// is charged in the search's own DFS order: charging any subtree the DFS
+// would not enter before its answer exhausts it and yields kUnknown.
+TEST(Golden, ExactCorpus164DecidesWithinBudget) {
+  const core::ExactResult r = exact_on_corpus(164, 20'000);
+  EXPECT_EQ(r.status, core::FeasibilityStatus::kFeasible);
+  EXPECT_EQ(r.states_explored, 10'659u);
+}
+
+TEST(Golden, ExactCorpus26DecidesWithinBudget) {
+  const core::ExactResult r = exact_on_corpus(26, 20'000);
+  EXPECT_EQ(r.status, core::FeasibilityStatus::kFeasible);
+  EXPECT_EQ(r.states_explored, 8'547u);
+}
+
+TEST(Golden, ExactCorpus161DecidesWithinBudget) {
+  const core::ExactResult r = exact_on_corpus(161, 60'000);
+  EXPECT_EQ(r.status, core::FeasibilityStatus::kFeasible);
+  EXPECT_EQ(r.states_explored, 53'932u);
 }
 
 TEST(Golden, ThreePartitionGadgetShape) {
