@@ -2,7 +2,12 @@
 //
 // Sweeps the n_threads knob over {1, 2, 4, 8} for verify_schedule on a
 // batch of generated model/schedule pairs, and reports wall time,
-// speedup over the serial path, and the verifier's memo hit rate. The
+// speedup over the serial path, and the verifier's memo hit rate. Each
+// thread count is timed once per round over kRounds interleaved rounds
+// whose order rotates, so slow phases of a shared host spread over
+// every row; a row reports the median and quartiles of its rounds, and
+// the speedup is the ratio of medians. A thread count is faster (or
+// slower) than serial only when its quartile range clears serial's. The
 // exact Theorem-1 game search is single-threaded by design (its
 // parallelism is batch-level), so it has no row here. Emits
 // BENCH_parallel.json in the working directory for tooling.
@@ -14,6 +19,7 @@
 // instead of collapsing (the historical E16 pathology — see
 // EXPERIMENTS.md E16/E22). Every thread count still exercises the
 // parallel partitioning and reduction code, which is what CI checks.
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -24,6 +30,7 @@
 #include "core/model.hpp"
 #include "core/static_schedule.hpp"
 #include "sim/rng.hpp"
+#include "sim/stats.hpp"
 #include "util/thread_pool.hpp"
 
 namespace {
@@ -84,7 +91,8 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 
 struct Row {
   std::size_t threads = 1;
-  double verify_s = 0;
+  std::vector<double> samples;  ///< verify seconds, one per round
+  double q1 = 0, median = 0, q3 = 0;
   double verify_speedup = 1;
   double memo_hit_rate = 0;
 };
@@ -92,45 +100,58 @@ struct Row {
 }  // namespace
 
 int main() {
-  constexpr std::size_t kThreads[] = {1, 2, 4, 8};
+  constexpr std::array<std::size_t, 4> kThreads = {1, 2, 4, 8};
   constexpr int kVerifyCases = 12;
   constexpr int kVerifyReps = 40;
+  constexpr std::size_t kRounds = 11;
 
   const auto cases = make_verify_cases(kVerifyCases);
 
-  std::printf("# E16: parallel scaling (hardware_concurrency = %zu)\n",
-              rtg::util::resolve_threads(0));
-  std::printf("%8s %12s %9s %9s\n", "threads", "verify[s]", "speedup", "memo%");
-
-  std::vector<Row> rows;
-  for (const std::size_t n_threads : kThreads) {
-    Row row;
-    row.threads = n_threads;
-
-    std::size_t queries = 0, hits = 0;
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int rep = 0; rep < kVerifyReps; ++rep) {
-      for (const VerifyCase& c : cases) {
-        core::VerifyStats stats;  // per-call counters; summed below
-        const auto report = core::verify_schedule(
-            c.schedule, c.model,
-            core::VerifyOptions{.n_threads = n_threads, .stats = &stats});
-        if (!report.feasible) {
-          std::fprintf(stderr, "verification regressed!\n");
-          return 1;
+  std::vector<Row> rows(kThreads.size());
+  for (std::size_t i = 0; i < kThreads.size(); ++i) rows[i].threads = kThreads[i];
+  for (std::size_t round = 0; round < kRounds; ++round) {
+    for (std::size_t k = 0; k < kThreads.size(); ++k) {
+      Row& row = rows[(round + k) % kThreads.size()];
+      std::size_t queries = 0, hits = 0;
+      const auto t0 = std::chrono::steady_clock::now();
+      for (int rep = 0; rep < kVerifyReps; ++rep) {
+        for (const VerifyCase& c : cases) {
+          core::VerifyStats stats;  // per-call counters; summed below
+          const auto report = core::verify_schedule(
+              c.schedule, c.model,
+              core::VerifyOptions{.n_threads = row.threads, .stats = &stats});
+          if (!report.feasible) {
+            std::fprintf(stderr, "verification regressed!\n");
+            return 1;
+          }
+          queries += stats.embedding_queries;
+          hits += stats.memo_hits;
         }
-        queries += stats.embedding_queries;
-        hits += stats.memo_hits;
       }
+      row.samples.push_back(seconds_since(t0));
+      const double answered = static_cast<double>(queries + hits);
+      row.memo_hit_rate = answered > 0 ? static_cast<double>(hits) / answered : 0;
     }
-    row.verify_s = seconds_since(t0);
-    const double answered = static_cast<double>(queries + hits);
-    row.memo_hit_rate = answered > 0 ? static_cast<double>(hits) / answered : 0;
+  }
 
-    if (!rows.empty()) row.verify_speedup = rows.front().verify_s / row.verify_s;
-    std::printf("%8zu %12.4f %9.2f %8.1f%%\n", row.threads, row.verify_s,
-                row.verify_speedup, 100.0 * row.memo_hit_rate);
-    rows.push_back(row);
+  std::printf("# E16: parallel scaling (hardware_concurrency = %zu, %s build, "
+              "%zu rounds)\n",
+              rtg::util::resolve_threads(0), RTG_BUILD_TYPE, kRounds);
+  std::printf("%8s %10s %10s %10s %9s %9s %8s\n", "threads", "q1[s]", "median[s]",
+              "q3[s]", "speedup", "memo%", "vs 1");
+  for (Row& row : rows) {
+    row.q1 = sim::percentile(row.samples, 0.25);
+    row.median = sim::percentile(row.samples, 0.5);
+    row.q3 = sim::percentile(row.samples, 0.75);
+    const Row& serial = rows.front();
+    row.verify_speedup = serial.median / row.median;
+    const char* verdict = &row == &serial     ? "-"
+                          : row.q3 < serial.q1 ? "faster"
+                          : row.q1 > serial.q3 ? "slower"
+                                               : "tie";
+    std::printf("%8zu %10.4f %10.4f %10.4f %9.2f %8.1f%% %8s\n", row.threads,
+                row.q1, row.median, row.q3, row.verify_speedup,
+                100.0 * row.memo_hit_rate, verdict);
   }
 
   std::FILE* out = std::fopen("BENCH_parallel.json", "w");
@@ -141,6 +162,8 @@ int main() {
   const std::size_t hw = rtg::util::resolve_threads(0);
   std::fprintf(out, "{\n  \"experiment\": \"E16_parallel_scaling\",\n");
   std::fprintf(out, "  \"hardware_concurrency\": %zu,\n", hw);
+  std::fprintf(out, "  \"build_type\": \"%s\",\n", RTG_BUILD_TYPE);
+  std::fprintf(out, "  \"rounds\": %zu,\n", kRounds);
   if (hw == 1) {
     // Make single-core results self-documenting: compute workers are
     // clamped to the core count, so n_threads >= 2 runs the partitioned
@@ -156,9 +179,10 @@ int main() {
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     std::fprintf(out,
-                 "    {\"threads\": %zu, \"verify_s\": %.6f, \"verify_speedup\": %.3f, "
+                 "    {\"threads\": %zu, \"verify_s\": %.6f, \"verify_s_q1\": %.6f, "
+                 "\"verify_s_q3\": %.6f, \"verify_speedup\": %.3f, "
                  "\"memo_hit_rate\": %.4f}%s\n",
-                 r.threads, r.verify_s, r.verify_speedup, r.memo_hit_rate,
+                 r.threads, r.median, r.q1, r.q3, r.verify_speedup, r.memo_hit_rate,
                  i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");

@@ -1,14 +1,15 @@
 // robot_arm — a robotics pipeline (sense -> kinematics -> plan ->
 // drive) decomposed across multiple processors, exercising the paper's
-// multiprocessor sketch: per-processor latency scheduling plus a TDMA
-// communication bus, with exact end-to-end verification.
+// multiprocessor sketch through map::deploy: per-processor latency
+// scheduling plus a unit-slot TDMA communication bus, with exact
+// end-to-end verification.
 //
 //   $ ./robot_arm
 #include <cstdio>
 
 #include "core/model.hpp"
-#include "core/multiproc.hpp"
 #include "graph/algorithms.hpp"
+#include "map/deploy.hpp"
 
 using namespace rtg;
 
@@ -90,25 +91,26 @@ int main() {
               max_width);
 
   for (std::size_t m : {1, 2, 3}) {
-    for (const auto& [strategy, name] :
-         {std::pair{core::PartitionStrategy::kLpt, "LPT"},
-          std::pair{core::PartitionStrategy::kCommunication, "comm-aware"}}) {
-      core::MultiprocOptions options;
-      options.processors = m;
-      options.strategy = strategy;
-      const core::MultiprocResult r = core::multiproc_schedule(model, options);
+    // A shared bus where every message takes one TDMA slot.
+    map::Platform bus = map::Platform::bus(m);
+    bus.fixed_message_size = 1;
+    for (const auto& [policy, name] :
+         {std::pair{map::GreedyMapper::Policy::kLpt, "LPT"},
+          std::pair{map::GreedyMapper::Policy::kCommunication, "comm-aware"}}) {
+      const map::GreedyMapper mapper(policy);
+      map::DeployOptions options;
+      options.custom = &mapper;
+      const map::Deployment d = map::deploy(model, bus, options);
       std::printf("m=%zu %-10s : ", m, name);
-      if (!r.success) {
-        std::printf("failed (%s)\n", r.failure_reason.c_str());
+      if (!d.success) {
+        std::printf("failed (%s)\n", d.failure_reason.c_str());
         continue;
       }
-      std::printf("ok, bus channels %zu", r.bus_channels.size());
-      for (std::size_t i = 0; i < r.end_to_end_latency.size(); ++i) {
-        const core::TimingConstraint& c = r.scheduled_model.constraint(i);
+      std::printf("ok, bus channels %zu", d.messages.size());
+      for (std::size_t i = 0; i < d.end_to_end.size(); ++i) {
+        const core::TimingConstraint& c = d.scheduled_model.constraint(i);
         std::printf("  %s=%lld/%lld", c.name.c_str(),
-                    r.end_to_end_latency[i] ? static_cast<long long>(
-                                                  *r.end_to_end_latency[i])
-                                            : -1,
+                    d.end_to_end[i] ? static_cast<long long>(*d.end_to_end[i]) : -1,
                     static_cast<long long>(c.deadline));
       }
       std::printf("\n");

@@ -109,8 +109,7 @@ int usage() {
                "                unless the spec declares processor/bus/link\n"
                "                lines): mapper portfolio, per-processor\n"
                "                synthesis, link slot tables, sharded + seam\n"
-               "                verification (--multiproc N is the deprecated\n"
-               "                alias for --map N --mapper comm)\n"
+               "                verification\n"
                "  --mapper      portfolio member for --map (default greedy)\n"
                "  --gen         generate a seeded scenario instead of reading a\n"
                "                file; opts are comma-separated key=value pairs,\n"
@@ -230,14 +229,6 @@ int run(int argc, char** argv) {
         return flag_error(std::string("unknown mapper '") + mapper_name +
                           "' (greedy, sa, spd, roundrobin, lpt, comm)");
       }
-    } else if (std::strcmp(argv[i], "--multiproc") == 0) {
-      // Deprecated alias from the pre-portfolio decomposition; the
-      // communication-aware partition is now GreedyMapper's comm policy.
-      map_procs = static_cast<std::size_t>(std::atoi(need_value(i)));
-      if (map_procs == 0) {
-        return flag_error("--multiproc requires a positive processor count");
-      }
-      mapper_name = "comm";
     } else if (std::strcmp(argv[i], "--threads") == 0) {
       const int n = std::atoi(need_value(i));
       if (n < 0) return flag_error("--threads requires a non-negative count");

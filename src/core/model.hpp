@@ -19,7 +19,7 @@
 #include <vector>
 
 #include "graph/digraph.hpp"
-#include "sim/event_queue.hpp"  // Time
+#include "sim/time.hpp"
 
 namespace rtg::core {
 

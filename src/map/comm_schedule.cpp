@@ -7,7 +7,7 @@ namespace rtg::map {
 
 std::size_t CommSchedule::find_message(ElementId from, ElementId to) const {
   // Linear first-match scan: message sets are small, and hand-built
-  // compat tables (legacy bus_channels vectors) need not be sorted.
+  // tables need not be sorted.
   for (std::size_t i = 0; i < messages.size(); ++i) {
     if (messages[i].from == from && messages[i].to == to) return i;
   }
@@ -18,8 +18,8 @@ Time CommSchedule::arrival(std::size_t msg, Time ready) const {
   const auto& [link_idx, slot_idx] = slot_of[msg];
   const LinkSchedule& table = links[link_idx];
   const SlotAssignment& slot = table.slots[slot_idx];
-  // Same arithmetic as the legacy TDMA message_arrival: first slot-run
-  // start j * cycle + offset at or after `ready`, plus the transfer.
+  // First slot-run start j * cycle + offset at or after `ready`, plus
+  // the transfer.
   Time j = (ready - slot.offset + table.cycle - 1) / table.cycle;
   if (j < 0) j = 0;
   return j * table.cycle + slot.offset + slot.duration;

@@ -4,11 +4,10 @@
 //
 // Each link gets a cyclic table: every message routed over it owns one
 // run of `Message::slots` consecutive slots per cycle, in (from, to)
-// element-id order, and the cycle is the total occupied length. The
-// legacy core/multiproc TDMA bus is the special case of one link with
-// unit-size messages — slot k of a C-slot cycle carries channel k, and
-// the generalized arrival arithmetic degenerates to exactly the old
-// `message_arrival` formula (the compat shim relies on this).
+// element-id order, and the cycle is the total occupied length. A
+// classic TDMA bus is the special case of one link with unit-size
+// messages (`Platform::fixed_message_size = 1`): slot k of a C-slot
+// cycle carries channel k.
 //
 // Any message therefore waits at most one link cycle before its slot
 // comes around: arrival(msg, ready) <= ready + cycle. The deployment

@@ -44,7 +44,7 @@
 namespace rtg::map {
 
 struct DeployOptions {
-  /// Portfolio member: "greedy", "sa", "spd" (or a legacy alias, see
+  /// Portfolio member: "greedy", "sa", "spd" (or an alias, see
   /// make_mapper). Ignored when `custom` is set.
   std::string mapper = "greedy";
   /// Seed for stochastic mappers (the annealer).

@@ -7,7 +7,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/multiproc.hpp"
 #include "graph/digraph.hpp"
 #include "sim/rng.hpp"
 
@@ -49,25 +48,74 @@ Time message_size(const core::GraphModel& model, const Platform& platform,
                                          : model.comm().weight(producer);
 }
 
-}  // namespace
+// GreedyMapper's kRoundRobin / kLpt / kCommunication policies: one pass
+// over the bare comm graph, with no platform routing and no constraints.
+std::vector<ProcId> partition_pass(const core::CommGraph& comm, std::size_t m,
+                                   GreedyMapper::Policy policy) {
+  const std::size_t n = comm.size();
+  std::vector<ProcId> assignment(n, 0);
+  if (m == 1) return assignment;
 
-std::vector<ProcId> GreedyMapper::legacy_partition(const core::CommGraph& comm,
-                                                   std::size_t m, Policy policy) {
-  // Single-sourced in core::partition_elements (the deprecation shim the
-  // seed tests pin); this is delegation, not duplication.
-  core::PartitionStrategy strategy = core::PartitionStrategy::kLpt;
   switch (policy) {
-    case Policy::kRoundRobin: strategy = core::PartitionStrategy::kRoundRobin; break;
-    case Policy::kLpt:
-    case Policy::kLatencyDensity:  // falls back to LPT without a model
-      strategy = core::PartitionStrategy::kLpt;
+    case GreedyMapper::Policy::kRoundRobin: {
+      for (ElementId e = 0; e < n; ++e) assignment[e] = e % m;
       break;
-    case Policy::kCommunication:
-      strategy = core::PartitionStrategy::kCommunication;
+    }
+    case GreedyMapper::Policy::kLpt:
+    case GreedyMapper::Policy::kLatencyDensity: {
+      std::vector<ElementId> order(n);
+      std::iota(order.begin(), order.end(), 0);
+      std::stable_sort(order.begin(), order.end(), [&](ElementId a, ElementId b) {
+        return comm.weight(a) > comm.weight(b);
+      });
+      std::vector<Time> load(m, 0);
+      for (ElementId e : order) {
+        const std::size_t target = static_cast<std::size_t>(
+            std::min_element(load.begin(), load.end()) - load.begin());
+        assignment[e] = target;
+        load[target] += comm.weight(e);
+      }
       break;
+    }
+    case GreedyMapper::Policy::kCommunication: {
+      // Greedy in id order: prefer the processor hosting most of the
+      // element's neighbours, unless it is overloaded past the average.
+      std::vector<Time> load(m, 0);
+      const Time total = comm.digraph().total_weight();
+      const Time cap = (total + static_cast<Time>(m) - 1) / static_cast<Time>(m) +
+                       1;  // soft per-processor cap
+      for (ElementId e = 0; e < n; ++e) {
+        std::vector<std::size_t> affinity(m, 0);
+        for (ElementId u : comm.digraph().predecessors(e)) {
+          if (u < e) ++affinity[assignment[u]];
+        }
+        for (ElementId u : comm.digraph().successors(e)) {
+          if (u < e) ++affinity[assignment[u]];
+        }
+        std::size_t best = 0;
+        bool chosen = false;
+        for (std::size_t p = 0; p < m; ++p) {
+          if (load[p] + comm.weight(e) > cap) continue;
+          if (!chosen || affinity[p] > affinity[best] ||
+              (affinity[p] == affinity[best] && load[p] < load[best])) {
+            best = p;
+            chosen = true;
+          }
+        }
+        if (!chosen) {
+          best = static_cast<std::size_t>(
+              std::min_element(load.begin(), load.end()) - load.begin());
+        }
+        assignment[e] = best;
+        load[best] += comm.weight(e);
+      }
+      break;
+    }
   }
-  return core::partition_elements(comm, m, strategy);
+  return assignment;
 }
+
+}  // namespace
 
 Mapping GreedyMapper::assign(const core::GraphModel& model,
                              const Platform& platform) const {
@@ -77,7 +125,7 @@ Mapping GreedyMapper::assign(const core::GraphModel& model,
   mapping.mapper = name();
 
   if (policy_ != Policy::kLatencyDensity) {
-    mapping.assignment = legacy_partition(comm, m, policy_);
+    mapping.assignment = partition_pass(comm, m, policy_);
     return mapping;
   }
 

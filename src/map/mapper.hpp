@@ -13,13 +13,14 @@
 //
 // Portfolio members:
 //  * GreedyMapper — one pass in a chosen order. Policies kRoundRobin /
-//    kLpt / kCommunication are the legacy core::PartitionStrategy
-//    heuristics, moved here verbatim (the core shim delegates, so the
-//    seed pins still hold). The default kLatencyDensity policy orders
-//    elements by latency density (sum over constraints of weight /
-//    deadline — tighter, heavier elements first) and places each on the
-//    processor minimizing load + transfer cost, skipping placements
-//    whose induced channels have no serving link.
+//    kLpt / kCommunication are the original partition heuristics: one
+//    pass over the bare comm graph, blind to routes and constraints
+//    (tests/map/mapper_test pins their assignments). The default
+//    kLatencyDensity policy orders elements by latency density (sum
+//    over constraints of weight / deadline — tighter, heavier elements
+//    first) and places each on the processor minimizing load + transfer
+//    cost, skipping placements whose induced channels have no serving
+//    link.
 //  * SimulatedAnnealingMapper — anytime, seeded-deterministic annealing
 //    from the greedy start. Move set: migrate one element / swap a
 //    cross-processor pair / rebalance a maximal chain. Energy mixes
@@ -55,9 +56,9 @@ class Mapper {
 class GreedyMapper final : public Mapper {
  public:
   enum class Policy : std::uint8_t {
-    kRoundRobin,      ///< element i -> processor i mod m (legacy)
-    kLpt,             ///< longest processing time first (legacy)
-    kCommunication,   ///< co-locate with predecessors (legacy)
+    kRoundRobin,      ///< element i -> processor i mod m
+    kLpt,             ///< longest processing time first onto least-loaded
+    kCommunication,   ///< co-locate with neighbours under a soft load cap
     kLatencyDensity,  ///< density order, load+comm+route-aware placement
   };
 
@@ -66,12 +67,6 @@ class GreedyMapper final : public Mapper {
   [[nodiscard]] Mapping assign(const core::GraphModel& model,
                                const Platform& platform) const override;
   [[nodiscard]] std::string name() const override;
-
-  /// The legacy partition pass over a bare comm graph (no platform
-  /// routing, no constraints) — the core::partition_elements shim and
-  /// the legacy policies above both bottom out here.
-  [[nodiscard]] static std::vector<ProcId> legacy_partition(
-      const core::CommGraph& comm, std::size_t m, Policy policy);
 
  private:
   Policy policy_;
@@ -117,7 +112,7 @@ class SeriesParallelDecompositionMapper final : public Mapper {
 };
 
 /// Factory for the CLI / service surface: "greedy", "sa", "spd"
-/// (aliases "roundrobin" / "lpt" / "comm" select the legacy greedy
+/// (aliases "roundrobin" / "lpt" / "comm" select the route-blind greedy
 /// policies). Returns nullptr for unknown names. `seed` feeds the
 /// annealer and is ignored by deterministic mappers.
 [[nodiscard]] std::unique_ptr<Mapper> make_mapper(std::string_view name,

@@ -21,8 +21,8 @@ std::optional<std::vector<Message>> collect_messages(
     const core::GraphModel& model, const Platform& platform,
     const std::vector<ProcId>& assignment, std::string* why) {
   // Distinct cross-processor channels used by any constraint edge,
-  // keyed and ordered by (from, to) element id — the legacy BusChannel
-  // ordering, so TDMA slot assignment is reproducible.
+  // keyed and ordered by (from, to) element id, so TDMA slot assignment
+  // is reproducible.
   std::set<std::pair<ElementId, ElementId>> channels;
   for (const core::TimingConstraint& c : model.constraints()) {
     for (const graph::Edge& e : c.task_graph.skeleton().edges()) {

@@ -13,8 +13,8 @@
 //     translate witnesses back).
 //
 // Messages are identified by their (producer, consumer) global element
-// ids — the same key the legacy core::BusChannel used — and sorted by
-// that key, so slot-table construction is deterministic.
+// ids and sorted by that key, so slot-table construction is
+// deterministic.
 #pragma once
 
 #include <cstdint>

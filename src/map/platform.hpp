@@ -12,8 +12,8 @@
 // §1): a message's transmission time is its size divided by the link
 // bandwidth, rounded up to whole slots. Message size defaults to the
 // producing element's weight (heavier computations emit bigger
-// payloads); `fixed_message_size` pins it (the legacy TDMA shim uses 1
-// so every message takes exactly one slot, reproducing core/multiproc).
+// payloads); `fixed_message_size` pins it (1 makes every message take
+// exactly one slot: unit TDMA slots).
 #pragma once
 
 #include <cstdint>
@@ -57,7 +57,7 @@ struct Platform {
   std::vector<std::string> processor_names;
   std::vector<Link> links;
   /// When > 0, every message has this size regardless of its producer's
-  /// weight. The legacy core/multiproc shim sets 1 (unit TDMA slots).
+  /// weight. 1 gives unit TDMA slots.
   Time fixed_message_size = 0;
 
   [[nodiscard]] std::size_t processors() const { return processor_names.size(); }

@@ -177,8 +177,7 @@ std::optional<Time> distributed_latency(const TaskGraph& tg,
 
   // Candidate window starts: 0, every op boundary + 1, and every instant
   // inside a link's occupied slot region (one past each busy tick —
-  // with fully-packed tables this is every tick, matching the legacy
-  // TDMA enumeration exactly).
+  // with fully-packed tables this is every tick).
   std::set<Time> candidate_set{0};
   for (std::size_t p = 0; p < schedules.size(); ++p) {
     if (schedules[p].length() == 0) continue;

@@ -109,9 +109,7 @@ struct SeamOptions {
 /// Exact end-to-end latency of `tg` against the processor schedules and
 /// the communication slot tables; nullopt = infinite (or cancelled, see
 /// SeamOptions::cancelled). Exact for task graphs without repeated
-/// labels (greedy completion); may over-approximate otherwise — the
-/// same contract as the legacy core::multiproc_latency, which is the
-/// single-link unit-slot special case of this function.
+/// labels (greedy completion); may over-approximate otherwise.
 [[nodiscard]] std::optional<Time> distributed_latency(
     const core::TaskGraph& tg, const std::vector<core::StaticSchedule>& schedules,
     const std::vector<ProcId>& assignment, const CommSchedule& comm,

@@ -12,7 +12,7 @@
 #include <string>
 #include <vector>
 
-#include "sim/event_queue.hpp"  // for Time
+#include "sim/time.hpp"
 
 namespace rtg::rt {
 

@@ -1,64 +1,14 @@
-// Edge cases for corners the module suites leave thin: multi-channel
-// TDMA timing, op-level (non-preemptive) EDF interleaving, coalescing
+// Edge cases for corners the module suites leave thin: op-level
+// (non-preemptive) EDF interleaving, coalescing
 // across constraint kinds, executive horizon arithmetic, and schedule
 // containers under stress.
 #include <gtest/gtest.h>
 
 #include "core/heuristic.hpp"
-#include "core/multiproc.hpp"
-#include "core/network.hpp"
 #include "core/runtime.hpp"
 
 namespace rtg::core {
 namespace {
-
-TEST(MultiprocEdge, BusCycleWithTwoChannelsDelaysSecondSlot) {
-  // Elements a@P0 -> b@P1 and c@P0 -> d@P1: two channels share the bus,
-  // cycle = 2. Channel order is sorted: (a,b) slot 0, (c,d) slot 1.
-  TaskGraph tg;
-  const OpId oc = tg.add_op(2);
-  const OpId od = tg.add_op(3);
-  tg.add_dep(oc, od);
-
-  StaticSchedule p0;
-  p0.push_execution(0, 1);
-  p0.push_execution(2, 1);
-  StaticSchedule p1;
-  p1.push_execution(1, 1);
-  p1.push_execution(3, 1);
-  const std::vector<BusChannel> bus{{0, 1}, {2, 3}};
-  const auto lat = multiproc_latency(tg, {p0, p1}, {0, 1, 0, 1}, bus);
-  ASSERT_TRUE(lat.has_value());
-  // c finishes at 2 (p0 slot 1); its bus slot is offset 1 of cycle 2:
-  // next at 3, arrival 4; d runs at 5 (p1 slot 1 of cycle 3 -> start 5).
-  // completion(0) = 6; worst-case window start shifts add more.
-  EXPECT_GE(*lat, 6);
-}
-
-TEST(NetworkEdge, TwoChannelsOneLinkShareTheCycle) {
-  // Both channels route over the same link: cycle 2, slots ordered.
-  TaskGraph tg_ab;
-  {
-    const OpId a = tg_ab.add_op(0);
-    const OpId b = tg_ab.add_op(1);
-    tg_ab.add_dep(a, b);
-  }
-  StaticSchedule p0;
-  p0.push_execution(0, 1);
-  p0.push_execution(2, 1);
-  StaticSchedule p1;
-  p1.push_execution(1, 1);
-  p1.push_execution(3, 1);
-  NetworkTopology t(2);
-  t.add_link(0, 1);
-  std::vector<LinkSchedule> tables{LinkSchedule{
-      NetworkLink{0, 1}, {LinkSlot{0, 1, 0}, LinkSlot{2, 3, 0}}}};
-  const auto lat = network_latency(tg_ab, {p0, p1}, {0, 1, 0, 1}, t, tables);
-  ASSERT_TRUE(lat.has_value());
-  // a@[0,1), slot for (0,1) at even offsets: next start >= 1 is 2,
-  // arrival 3; b on p1 at start >= 3: b@4 (cycle 2 of p1), finish 5.
-  EXPECT_GE(*lat, 5);
-}
 
 TEST(HeuristicEdge, NonPreemptiveOpsInterleaveAcrossConstraints) {
   // Without pipelining, ops are atomic but constraints still interleave
@@ -160,28 +110,6 @@ TEST(RuntimeEdge, ZeroHorizonRecordsNothing) {
   const ExecutiveResult r = run_executive(sched, model, {{}}, 0);
   EXPECT_TRUE(r.invocations.empty());
   EXPECT_TRUE(r.all_met);
-}
-
-TEST(PartitionEdge, CommunicationAwareFallsBackWhenCapExceeded) {
-  // One giant element forces the soft cap to be exceeded; the fallback
-  // least-loaded placement must still assign everything.
-  CommGraph comm;
-  comm.add_element("giant", 100);
-  for (int i = 0; i < 6; ++i) {
-    comm.add_element("tiny" + std::to_string(i), 1);
-    comm.add_channel(0, static_cast<ElementId>(i + 1));
-  }
-  const auto assignment =
-      partition_elements(comm, 3, PartitionStrategy::kCommunication);
-  EXPECT_EQ(assignment.size(), 7u);
-  for (std::size_t p : assignment) EXPECT_LT(p, 3u);
-  // The tiny elements shouldn't pile onto the giant's processor (its
-  // load already exceeds the cap).
-  std::size_t with_giant = 0;
-  for (std::size_t i = 1; i < assignment.size(); ++i) {
-    if (assignment[i] == assignment[0]) ++with_giant;
-  }
-  EXPECT_LT(with_giant, 6u);
 }
 
 TEST(ScheduleEdge, ManyEntriesStressAccounting) {

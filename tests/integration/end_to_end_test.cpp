@@ -6,9 +6,9 @@
 
 #include "core/feasibility.hpp"
 #include "core/heuristic.hpp"
-#include "core/multiproc.hpp"
 #include "core/runtime.hpp"
 #include "core/synthesis.hpp"
+#include "map/deploy.hpp"
 #include "rt/analysis.hpp"
 #include "rt/scheduler.hpp"
 #include "sim/rng.hpp"
@@ -150,10 +150,13 @@ TEST(EndToEnd, MultiprocessorControlSystem) {
   params.dz = 60;
   const core::GraphModel model = core::make_control_system(params);
   for (std::size_t m : {1u, 2u}) {
-    core::MultiprocOptions options;
-    options.processors = m;
-    const core::MultiprocResult r = core::multiproc_schedule(model, options);
-    EXPECT_TRUE(r.success) << "m=" << m << ": " << r.failure_reason;
+    // A unit-slot shared TDMA bus, LPT placement.
+    map::Platform bus = map::Platform::bus(m);
+    bus.fixed_message_size = 1;
+    map::DeployOptions options;
+    options.mapper = "lpt";
+    const map::Deployment d = map::deploy(model, bus, options);
+    EXPECT_TRUE(d.success) << "m=" << m << ": " << d.failure_reason;
   }
 }
 

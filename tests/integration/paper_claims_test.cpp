@@ -7,11 +7,11 @@
 #include "core/feasibility.hpp"
 #include "core/heuristic.hpp"
 #include "core/model.hpp"
-#include "core/multiproc.hpp"
 #include "core/npc.hpp"
 #include "core/pipeline.hpp"
 #include "core/runtime.hpp"
 #include "core/synthesis.hpp"
+#include "map/deploy.hpp"
 #include "rt/analysis.hpp"
 #include "rt/scheduler.hpp"
 
@@ -218,13 +218,14 @@ TEST(PaperClaims, MultiprocessorDecomposition) {
   params.py = params.dy = 80;
   params.pz = 120;
   params.dz = 60;
-  core::MultiprocOptions options;
-  options.processors = 2;
-  options.strategy = core::PartitionStrategy::kCommunication;
-  const core::MultiprocResult r =
-      core::multiproc_schedule(core::make_control_system(params), options);
-  EXPECT_TRUE(r.success) << r.failure_reason;
-  EXPECT_EQ(r.processor_schedules.size(), 2u);
+  map::Platform bus = map::Platform::bus(2);
+  bus.fixed_message_size = 1;  // one TDMA slot per message
+  map::DeployOptions options;
+  options.mapper = "comm";
+  const map::Deployment d =
+      map::deploy(core::make_control_system(params), bus, options);
+  EXPECT_TRUE(d.success) << d.failure_reason;
+  EXPECT_EQ(d.processor_schedules.size(), 2u);
 }
 
 }  // namespace

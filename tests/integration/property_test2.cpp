@@ -9,18 +9,17 @@
 //       renumbering, and emit is a fixpoint after one round;
 //   P10 schedule_io round-trips arbitrary schedules;
 //   P11 exact-solver status is invariant under the branch order;
-//   P12 network on a full mesh succeeds whenever the bus multiproc
-//       does (same placement, richer network).
+//   P12 map::deploy on a full mesh succeeds whenever it does on a
+//       shared bus (same placement, richer network).
 #include <gtest/gtest.h>
 
 #include "core/bounds.hpp"
 #include "core/fault.hpp"
 #include "core/feasibility.hpp"
 #include "core/heuristic.hpp"
-#include "core/multiproc.hpp"
-#include "core/network.hpp"
 #include "core/optimize.hpp"
 #include "core/schedule_io.hpp"
+#include "map/deploy.hpp"
 #include "sim/rng.hpp"
 #include "spec/compile.hpp"
 #include "spec/emit.hpp"
@@ -228,15 +227,15 @@ TEST_P(PropertySweep2, MeshNetworkMatchesBusFeasibility) {
                                         rng.uniform(30, 60),
                                         ConstraintKind::kAsynchronous});
 
-  core::MultiprocOptions bus_opts;
-  bus_opts.processors = 2;
-  bus_opts.strategy = core::PartitionStrategy::kRoundRobin;
-  const core::MultiprocResult bus = core::multiproc_schedule(model, bus_opts);
-
-  core::NetworkOptions net_opts;
-  net_opts.strategy = core::PartitionStrategy::kRoundRobin;
-  const core::NetworkScheduleResult mesh =
-      core::network_schedule(model, core::NetworkTopology::full_mesh(2), net_opts);
+  // Unit message slots on both platforms; round-robin forces crossings.
+  map::DeployOptions options;
+  options.mapper = "roundrobin";
+  map::Platform shared = map::Platform::bus(2);
+  shared.fixed_message_size = 1;
+  map::Platform full = map::Platform::full(2);
+  full.fixed_message_size = 1;
+  const map::Deployment bus = map::deploy(model, shared, options);
+  const map::Deployment mesh = map::deploy(model, full, options);
 
   if (bus.success) {
     EXPECT_TRUE(mesh.success) << mesh.failure_reason;

@@ -1,13 +1,13 @@
-// The mapping portfolio: factory resolution, legacy-policy parity with
-// the core shim, seeded determinism of the annealer, and the
-// decomposition mapper's articulation cuts.
+// The mapping portfolio: factory resolution, golden assignments of the
+// route-blind greedy policies (round-robin / LPT / communication-aware),
+// seeded determinism of the annealer, and the decomposition mapper's
+// articulation cuts.
 #include "map/mapper.hpp"
 
 #include <gtest/gtest.h>
 
 #include <utility>
 
-#include "core/multiproc.hpp"
 #include "gen/generator.hpp"
 
 namespace rtg::map {
@@ -51,28 +51,100 @@ TEST(MakeMapper, ResolvesPortfolioAndAliases) {
   EXPECT_EQ(make_mapper(""), nullptr);
 }
 
+using Policy = GreedyMapper::Policy;
+
+// A policy's placement of a bare comm graph on a shared bus of m
+// processors.
+std::vector<ProcId> place(Policy policy, const core::CommGraph& comm,
+                          std::size_t m) {
+  return GreedyMapper(policy).assign(GraphModel(comm), Platform::bus(m)).assignment;
+}
+
+core::CommGraph pipeline_comm() {
+  core::CommGraph g;
+  g.add_element("stage0", 1);
+  g.add_element("stage1", 1);
+  g.add_element("stage2", 1);
+  g.add_channel(0, 1);
+  g.add_channel(1, 2);
+  return g;
+}
+
 TEST(GreedyMapper, LegacyPoliciesMatchTheCoreShim) {
-  // The core::partition_elements shim delegates to legacy_partition, so
-  // the two surfaces must agree bit-for-bit — the seed pins depend on
-  // it.
-  const GraphModel model = chain_model(7);
-  const auto& comm = model.comm();
-  const std::pair<GreedyMapper::Policy, core::PartitionStrategy> pairs[] = {
-      {GreedyMapper::Policy::kRoundRobin, core::PartitionStrategy::kRoundRobin},
-      {GreedyMapper::Policy::kLpt, core::PartitionStrategy::kLpt},
-      {GreedyMapper::Policy::kCommunication,
-       core::PartitionStrategy::kCommunication},
+  // The assignments the core partition function gave before its passes
+  // moved into GreedyMapper, recorded on a 7-element chain.
+  struct Pin {
+    std::size_t m;
+    Policy policy;
+    std::vector<ProcId> assignment;
   };
-  for (std::size_t m : {1u, 2u, 3u}) {
-    for (const auto& [policy, strategy] : pairs) {
-      EXPECT_EQ(GreedyMapper::legacy_partition(comm, m, policy),
-                core::partition_elements(comm, m, strategy));
-      const Mapping via_mapper =
-          GreedyMapper(policy).assign(model, Platform::bus(m));
-      EXPECT_EQ(via_mapper.assignment,
-                core::partition_elements(comm, m, strategy));
-    }
+  const Pin golden[] = {
+      {2, Policy::kRoundRobin, {0, 1, 0, 1, 0, 1, 0}},
+      {2, Policy::kLpt, {0, 0, 0, 1, 1, 1, 0}},
+      {2, Policy::kCommunication, {0, 0, 0, 0, 1, 1, 1}},
+      {3, Policy::kRoundRobin, {0, 1, 2, 0, 1, 2, 0}},
+      {3, Policy::kLpt, {0, 2, 0, 1, 2, 1, 0}},
+      {3, Policy::kCommunication, {0, 0, 0, 1, 1, 1, 2}},
+  };
+  const core::CommGraph comm = chain_model(7).comm();
+  for (const Pin& pin : golden) {
+    EXPECT_EQ(place(pin.policy, comm, pin.m), pin.assignment)
+        << "m=" << pin.m << " policy " << static_cast<int>(pin.policy);
   }
+}
+
+TEST(PartitionElements, RoundRobinCycles) {
+  EXPECT_EQ(place(Policy::kRoundRobin, pipeline_comm(), 2),
+            (std::vector<ProcId>{0, 1, 0}));
+}
+
+TEST(PartitionElements, SingleProcessorAllZero) {
+  for (Policy policy : {Policy::kRoundRobin, Policy::kLpt, Policy::kCommunication}) {
+    EXPECT_EQ(place(policy, pipeline_comm(), 1), (std::vector<ProcId>{0, 0, 0}));
+  }
+}
+
+TEST(PartitionElements, ZeroProcessorsClampToOne) {
+  // A processor-less platform places everything on processor 0;
+  // deploy() rejects such a platform before mapping.
+  for (Policy policy : {Policy::kRoundRobin, Policy::kLpt, Policy::kCommunication}) {
+    EXPECT_EQ(place(policy, pipeline_comm(), 0), (std::vector<ProcId>{0, 0, 0}));
+  }
+}
+
+TEST(PartitionElements, LptBalancesLoad) {
+  core::CommGraph g;
+  g.add_element("big", 6);
+  g.add_element("m1", 3);
+  g.add_element("m2", 3);
+  // big alone (load 6), the two mediums together (load 6).
+  EXPECT_EQ(place(Policy::kLpt, g, 2), (std::vector<ProcId>{0, 1, 1}));
+}
+
+TEST(PartitionElements, CommunicationPrefersColocation) {
+  // A chain should stay on one processor when capacity allows.
+  core::CommGraph g;
+  g.add_element("a", 1);
+  g.add_element("b", 1);
+  g.add_channel(0, 1);
+  g.add_element("c", 1);
+  g.add_element("d", 1);
+  g.add_channel(2, 3);
+  EXPECT_EQ(place(Policy::kCommunication, g, 2), (std::vector<ProcId>{0, 0, 1, 1}));
+}
+
+TEST(PartitionEdge, CommunicationAwareFallsBackWhenCapExceeded) {
+  // One giant element forces the soft cap to be exceeded; the fallback
+  // least-loaded placement must still assign everything, and the tiny
+  // elements must not pile onto the giant's processor.
+  core::CommGraph comm;
+  comm.add_element("giant", 100);
+  for (int i = 0; i < 6; ++i) {
+    comm.add_element("tiny" + std::to_string(i), 1);
+    comm.add_channel(0, static_cast<ElementId>(i + 1));
+  }
+  EXPECT_EQ(place(Policy::kCommunication, comm, 3),
+            (std::vector<ProcId>{0, 1, 2, 1, 2, 1, 2}));
 }
 
 TEST(Mappers, AssignmentsAreAlwaysValid) {
