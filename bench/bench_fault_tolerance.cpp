@@ -12,6 +12,7 @@
 
 #include "core/degradation.hpp"
 #include "core/fault.hpp"
+#include "core/fault_injection.hpp"
 #include "core/heuristic.hpp"
 #include "core/model.hpp"
 #include "rt/polling_server.hpp"
@@ -151,17 +152,18 @@ int main() {
     double survival[3] = {0, 0, 0};
     const double rates[3] = {0.10, 0.25, 0.40};
     for (int i = 0; i < 3; ++i) {
-      core::FailureModel fm;
-      fm.omission_probability = rates[i];
-      fm.seed = 17 + static_cast<std::uint64_t>(i);
+      // Omission faults: a plan dropping each execution with the rate.
+      const core::FaultPlan plan{
+          17 + static_cast<std::uint64_t>(i),
+          {core::FaultSpec{core::FaultKind::kDrop, 0, core::kOpenEnd, rates[i]}}};
       // Check against ORIGINAL deadlines: build a verification model
       // that pairs the original constraint with the pipelined graph.
       core::GraphModel check(r.scheduled_model.comm());
       core::TimingConstraint orig = r.scheduled_model.constraint(0);
       orig.deadline = model.constraint(0).deadline;
       check.add_constraint(std::move(orig));
-      const core::FaultInjectionResult fr =
-          core::run_with_failures(*r.schedule, check, {arrivals}, 6200, fm);
+      const core::FaultRunResult fr =
+          core::run_executive_with_faults(*r.schedule, check, {arrivals}, 6200, plan);
       survival[i] = fr.survival_rate();
     }
     std::printf("%-4zu %-8.1f %-10lld %-12.3f %-12.3f %-12.3f\n", k,

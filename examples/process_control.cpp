@@ -10,6 +10,7 @@
 
 #include "core/dataflow.hpp"
 #include "core/fault.hpp"
+#include "core/fault_injection.hpp"
 #include "core/heuristic.hpp"
 #include "core/model.hpp"
 #include "rt/scheduler.hpp"
@@ -112,14 +113,13 @@ int main() {
       std::printf("  k=%zu: %s\n", k, hardened.failure_reason.c_str());
       continue;
     }
-    core::FailureModel fm;
-    fm.omission_probability = 0.2;
-    fm.seed = 7;
-    const core::FaultInjectionResult fr = core::run_with_failures(
-        *hardened.schedule, synth.scheduled_model, {{}, {}}, 4000, fm);
+    const core::FaultPlan omissions{
+        7, {core::FaultSpec{core::FaultKind::kDrop, 0, core::kOpenEnd, 0.2}}};
+    const core::FaultRunResult fr = core::run_executive_with_faults(
+        *hardened.schedule, synth.scheduled_model, {{}, {}}, 4000, omissions);
     std::printf("  k=%zu: schedule busy %.0f%%, survival %.2f%% (%zu/%zu)\n", k,
                 100.0 * hardened.utilization, 100.0 * fr.survival_rate(),
-                fr.satisfied, fr.invocations);
+                fr.satisfied_count(), fr.executive.invocations.size());
   }
   return run.violations.empty() && run.pipeline_ordered ? 0 : 1;
 }

@@ -1,16 +1,17 @@
 // verify_client — composes request frames for verify_server and
-// summarizes its response streams.
+// summarizes its response streams. Each example below is one command
+// line, wrapped to fit:
 //
 //   # append a verification request to a batch file
-//   verify_client --spec control_system.rts --verify sched.txt \
+//   verify_client --spec control_system.rts --verify sched.txt
 //                 --id 1 --tenant acme --deadline-ms 2000 --out requests.txt
 //
 //   # append a synthesis request (exact engine)
-//   verify_client --spec control_system.rts --synth --exact --id 2 \
+//   verify_client --spec control_system.rts --synth --exact --id 2
 //                 --out requests.txt
 //
 //   # ship a captured .rtt trace to the tenant's streaming monitor
-//   verify_client --spec control_system.rts --monitor capture.rtt --id 3 \
+//   verify_client --spec control_system.rts --monitor capture.rtt --id 3
 //                 --out requests.txt
 //
 //   # read back a response stream

@@ -3,9 +3,10 @@
 // Reads line-delimited request frames (svc/protocol) from a file or
 // stdin, runs them through a VerifyService, and writes response frames
 // in submission order. Pointing --in at a named pipe turns it into a
-// long-running server; pointing it at a file makes a batch run:
+// long-running server; pointing it at a file makes a batch run (one
+// command line, wrapped to fit):
 //
-//   verify_server --in requests.txt --out responses.txt --workers 4 \
+//   verify_server --in requests.txt --out responses.txt --workers 4
 //                 --cache-snapshot cache.rtvc --health
 //
 // Exit codes: 0 all frames processed, 1 bad usage, 2 protocol error.

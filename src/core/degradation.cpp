@@ -396,15 +396,7 @@ AdaptiveResult run_adaptive_executive(const ModeLadder& ladder,
           ok = false;
           result.fault_events.push_back(
               FaultEvent{f, actual.elem, actual.start, actual.duration});
-          switch (f) {
-            case ExecutionFate::kSlotLost: ++result.fault_counters.slot_lost; break;
-            case ExecutionFate::kElementDown:
-              ++result.fault_counters.element_down;
-              break;
-            case ExecutionFate::kDropped: ++result.fault_counters.dropped; break;
-            case ExecutionFate::kCorrupted: ++result.fault_counters.corrupted; break;
-            case ExecutionFate::kOk: break;
-          }
+          result.fault_counters.count(f);
         }
       }
       realized.push_back(actual);

@@ -116,60 +116,6 @@ HardenedResult harden_and_schedule(const GraphModel& model, std::size_t k,
   return result;
 }
 
-FaultInjectionResult run_with_failures(const StaticSchedule& sched,
-                                       const GraphModel& model,
-                                       const ConstraintArrivals& arrivals, Time horizon,
-                                       const FailureModel& failures) {
-  if (sched.length() == 0) {
-    throw std::invalid_argument("run_with_failures: empty schedule");
-  }
-  Time max_deadline = 0;
-  std::size_t max_ops = 0;
-  for (const TimingConstraint& c : model.constraints()) {
-    max_deadline = std::max(max_deadline, c.deadline);
-    max_ops = std::max(max_ops, c.task_graph.size());
-  }
-  const std::size_t periods = static_cast<std::size_t>(
-      (horizon + max_deadline) / std::max<Time>(sched.length(), 1) + 1 +
-      static_cast<Time>(2 * max_ops + 2));
-  const std::vector<ScheduledOp> all_ops = unroll_ops(sched, periods);
-
-  // Drop each execution independently.
-  sim::Rng rng(failures.seed);
-  std::vector<ScheduledOp> surviving;
-  surviving.reserve(all_ops.size());
-  FaultInjectionResult result;
-  result.total_ops = all_ops.size();
-  for (const ScheduledOp& op : all_ops) {
-    if (rng.chance(failures.omission_probability)) {
-      ++result.failed_ops;
-    } else {
-      surviving.push_back(op);
-    }
-  }
-
-  for (std::size_t i = 0; i < model.constraint_count(); ++i) {
-    const TimingConstraint& c = model.constraint(i);
-    std::vector<Time> instants;
-    if (c.periodic()) {
-      for (Time t = 0; t + c.deadline <= horizon; t += c.period) instants.push_back(t);
-    } else {
-      if (i >= arrivals.size()) {
-        throw std::invalid_argument("run_with_failures: missing arrival stream");
-      }
-      for (Time t : arrivals[i]) {
-        if (t + c.deadline <= horizon) instants.push_back(t);
-      }
-    }
-    for (Time t : instants) {
-      ++result.invocations;
-      const auto finish = earliest_embedding_finish(c.task_graph, surviving, t);
-      if (finish && *finish <= t + c.deadline) ++result.satisfied;
-    }
-  }
-  return result;
-}
-
 std::vector<ScheduledOp> inject_overruns(std::span<const ScheduledOp> ops,
                                          const OverrunModel& overruns,
                                          std::size_t* overrun_count) {
@@ -192,69 +138,6 @@ std::vector<ScheduledOp> inject_overruns(std::span<const ScheduledOp> ops,
   }
   if (overrun_count != nullptr) *overrun_count = count;
   return out;
-}
-
-OverrunRunResult run_with_overruns(const StaticSchedule& sched, const GraphModel& model,
-                                   const ConstraintArrivals& arrivals, Time horizon,
-                                   const OverrunModel& overruns,
-                                   sim::TraceSink* trace_sink, const FaultPlan* faults) {
-  if (sched.length() == 0) {
-    throw std::invalid_argument("run_with_overruns: empty schedule");
-  }
-  Time max_deadline = 0;
-  std::size_t max_ops = 0;
-  for (const TimingConstraint& c : model.constraints()) {
-    max_deadline = std::max(max_deadline, c.deadline);
-    max_ops = std::max(max_ops, c.task_graph.size());
-  }
-  const std::size_t periods = static_cast<std::size_t>(
-      (horizon + max_deadline) / std::max<Time>(sched.length(), 1) + 1 +
-      static_cast<Time>(2 * max_ops + 2));
-  const std::vector<ScheduledOp> nominal = unroll_ops(sched, periods);
-
-  OverrunRunResult result;
-  result.total_ops = nominal.size();
-  std::vector<ScheduledOp> actual =
-      inject_overruns(nominal, overruns, &result.overrun_ops);
-  for (std::size_t i = 0; i < nominal.size(); ++i) {
-    result.max_slide = std::max(result.max_slide, actual[i].start - nominal[i].start);
-  }
-
-  // Compose the fault plan over the slid timeline: drift shifts starts
-  // further, fates strike at the realized times, and only survivors
-  // are visible (to the trace and to invocation windows alike).
-  std::optional<FaultInjector> injector;
-  ConstraintArrivals effective;
-  if (faults != nullptr && !faults->empty()) {
-    injector.emplace(*faults);
-    FaultedTimeline timeline = injector->apply(actual, horizon);
-    result.fault_counters = timeline.counters;
-    actual = std::move(timeline.valid);
-    effective = injector->apply_arrivals(model, arrivals);
-  }
-  if (trace_sink != nullptr) emit_timeline(actual, horizon, *trace_sink);
-
-  for (std::size_t i = 0; i < model.constraint_count(); ++i) {
-    const TimingConstraint& c = model.constraint(i);
-    std::vector<Time> instants;
-    if (c.periodic()) {
-      for (Time t = 0; t + c.deadline <= horizon; t += c.period) instants.push_back(t);
-    } else {
-      if (i >= arrivals.size()) {
-        throw std::invalid_argument("run_with_overruns: missing arrival stream");
-      }
-      const std::vector<Time>& stream = injector ? effective[i] : arrivals[i];
-      for (Time t : stream) {
-        if (t + c.deadline <= horizon) instants.push_back(t);
-      }
-    }
-    for (Time t : instants) {
-      ++result.invocations;
-      const auto finish = earliest_embedding_finish(c.task_graph, actual, t);
-      if (finish && *finish <= t + c.deadline) ++result.satisfied;
-    }
-  }
-  return result;
 }
 
 }  // namespace rtg::core

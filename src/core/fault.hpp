@@ -16,9 +16,12 @@
 //   * Verification measures the *fault-tolerant latency*: the smallest
 //     L such that every window of length >= L contains k+1 disjoint
 //     executions.
-//   * Failure injection: the executive drops executions at random (or
-//     scripted) and invocations are re-verified against the surviving
-//     ops only.
+//   * Omission injection is a fault plan (core/fault_injection): a
+//     `drop * rate p` directive run through run_executive_with_faults
+//     omits each execution with probability p, and invocations are
+//     re-verified against the surviving ops only.
+//   * Overruns (OverrunModel) are the one fault kind a plan cannot
+//     express: they change durations, plan fates never do.
 #pragma once
 
 #include <optional>
@@ -64,35 +67,6 @@ struct HardenedResult {
 /// original deadline d ends up holding k+1 disjoint executions.
 [[nodiscard]] HardenedResult harden_and_schedule(const GraphModel& model, std::size_t k,
                                                  const HeuristicOptions& options = {});
-
-/// Failure model for injection: each scheduled execution independently
-/// fails (is omitted) with probability `omission_probability`.
-struct FailureModel {
-  double omission_probability = 0.0;
-  std::uint64_t seed = 1;
-};
-
-struct FaultInjectionResult {
-  std::size_t invocations = 0;
-  std::size_t satisfied = 0;
-  std::size_t failed_ops = 0;
-  std::size_t total_ops = 0;
-
-  [[nodiscard]] double survival_rate() const {
-    return invocations == 0 ? 1.0
-                            : static_cast<double>(satisfied) /
-                                  static_cast<double>(invocations);
-  }
-};
-
-/// Runs the executive for `horizon` slots with omission faults: failed
-/// executions are removed from the op timeline before invocation
-/// windows are checked. Arrival streams as in run_executive.
-[[nodiscard]] FaultInjectionResult run_with_failures(const StaticSchedule& sched,
-                                                     const GraphModel& model,
-                                                     const ConstraintArrivals& arrivals,
-                                                     Time horizon,
-                                                     const FailureModel& failures);
 
 /// Overrun fault model: an execution may take *longer* than its
 /// declared weight. Each execution independently overruns with the

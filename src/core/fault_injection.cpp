@@ -313,13 +313,7 @@ FaultedTimeline FaultInjector::apply(std::span<const ScheduledOp> nominal,
       out.valid.push_back(out.ops.back());
     } else if (s < horizon) {
       out.events.push_back(FaultEvent{f, op.elem, s, op.duration});
-      switch (f) {
-        case ExecutionFate::kSlotLost: ++out.counters.slot_lost; break;
-        case ExecutionFate::kElementDown: ++out.counters.element_down; break;
-        case ExecutionFate::kDropped: ++out.counters.dropped; break;
-        case ExecutionFate::kCorrupted: ++out.counters.corrupted; break;
-        case ExecutionFate::kOk: break;
-      }
+      out.counters.count(f);
     }
   }
   out.counters.drift_slots = drift_before(horizon);
@@ -349,15 +343,7 @@ std::function<sim::Slot(Time, sim::Slot)> FaultInjector::make_slot_filter(
       st.remaining = weights[s];
       const ExecutionFate f = inj.fate(s, t, weights[s]);
       st.valid = f == ExecutionFate::kOk;
-      if (!st.valid && counters != nullptr) {
-        switch (f) {
-          case ExecutionFate::kSlotLost: ++counters->slot_lost; break;
-          case ExecutionFate::kElementDown: ++counters->element_down; break;
-          case ExecutionFate::kDropped: ++counters->dropped; break;
-          case ExecutionFate::kCorrupted: ++counters->corrupted; break;
-          case ExecutionFate::kOk: break;
-        }
-      }
+      if (counters != nullptr) counters->count(f);
     }
     --st.remaining;
     return st.valid ? s : sim::kIdle;
@@ -601,84 +587,6 @@ FaultPlanParse parse_fault_plan(std::string_view text, const GraphModel& model,
     result.errors.push_back("plan: " + issue);
   }
   if (result.errors.empty()) result.plan = std::move(plan);
-  return result;
-}
-
-// ---------------------------------------------------------------------------
-// Baseline runner
-
-FaultRunResult run_executive_with_faults(const StaticSchedule& sched,
-                                         const GraphModel& model,
-                                         const ConstraintArrivals& arrivals,
-                                         Time horizon, const FaultPlan& plan,
-                                         sim::TraceSink* trace_sink) {
-  if (horizon < 0) {
-    throw std::invalid_argument("run_executive_with_faults: negative horizon");
-  }
-  if (sched.length() == 0) {
-    throw std::invalid_argument("run_executive_with_faults: empty schedule");
-  }
-  const ArrivalValidation validation = validate_arrivals(model, arrivals);
-  if (!validation.ok()) {
-    throw std::invalid_argument("run_executive_with_faults: " + validation.to_string());
-  }
-  const std::vector<std::string> plan_issues = validate_fault_plan(plan, model);
-  if (!plan_issues.empty()) {
-    throw std::invalid_argument("run_executive_with_faults: " + plan_issues.front());
-  }
-
-  const FaultInjector injector(plan);
-  FaultRunResult result;
-  result.effective_arrivals = injector.apply_arrivals(model, arrivals);
-  result.executive.horizon = horizon;
-
-  Time max_deadline = 0;
-  std::size_t max_ops = 0;
-  for (const TimingConstraint& c : model.constraints()) {
-    max_deadline = std::max(max_deadline, c.deadline);
-    max_ops = std::max(max_ops, c.task_graph.size());
-  }
-  const std::size_t periods = static_cast<std::size_t>(
-      (horizon + max_deadline) / std::max<Time>(sched.length(), 1) + 1 +
-      static_cast<Time>(2 * max_ops + 2));
-  const std::vector<ScheduledOp> nominal = unroll_ops(sched, periods);
-  const FaultedTimeline faulted = injector.apply(nominal, horizon);
-  if (trace_sink != nullptr) emit_timeline(faulted.valid, horizon, *trace_sink);
-  result.executive.dispatches = static_cast<std::size_t>(
-      static_cast<Time>(sched.ops().size()) *
-      ((horizon + sched.length() - 1) / sched.length()));
-  result.counters = faulted.counters;
-  result.events = faulted.events;
-  for (const ScheduledOp& op : faulted.ops) {
-    if (op.start < horizon) ++result.total_ops;
-  }
-
-  for (std::size_t i = 0; i < model.constraint_count(); ++i) {
-    const TimingConstraint& c = model.constraint(i);
-    std::vector<Time> instants;
-    if (c.periodic()) {
-      for (Time t = 0; t + c.deadline <= horizon; t += c.period) instants.push_back(t);
-    } else {
-      for (Time t : result.effective_arrivals[i]) {
-        if (t + c.deadline <= horizon) instants.push_back(t);
-      }
-    }
-    for (Time t : instants) {
-      InvocationRecord rec;
-      rec.constraint = i;
-      rec.invoked = t;
-      rec.abs_deadline = t + c.deadline;
-      const auto finish = earliest_embedding_finish(c.task_graph, faulted.valid, t);
-      if (finish && *finish <= rec.abs_deadline) {
-        rec.completed = finish;
-        rec.satisfied = true;
-      } else {
-        rec.satisfied = false;
-        result.executive.all_met = false;
-      }
-      result.executive.invocations.push_back(rec);
-    }
-  }
   return result;
 }
 

@@ -1,12 +1,12 @@
 // fault_injection.hpp — seeded, deterministic fault-injection plans.
 //
-// PR 1's OverrunModel covers one disturbance (compute-time inflation)
-// and core/fault's FailureModel another (i.i.d. omission). Real
-// deployments see a richer mix — lost dispatch slots, transient element
-// failures with repair windows, corrupted or dropped transmissions,
-// jittered sporadic arrivals, clock drift — often several at once. This
-// module provides composable *fault plans* covering all of them, with
-// two properties the rest of the robustness stack depends on:
+// core/fault's OverrunModel covers one disturbance (compute-time
+// inflation). Real deployments see a richer mix — lost dispatch slots,
+// transient element failures with repair windows, i.i.d. omissions
+// (`drop * rate p`), corrupted transmissions, jittered sporadic
+// arrivals, clock drift — often several at once. This module provides
+// composable *fault plans* covering all of them, with two properties
+// the rest of the robustness stack depends on:
 //
 //   * Determinism: every stochastic decision is a pure hash of
 //     (plan seed, fault index, element, absolute time). No generator
@@ -228,6 +228,16 @@ struct FaultCounters {
   [[nodiscard]] std::size_t faulted_ops() const {
     return slot_lost + element_down + dropped + corrupted;
   }
+  /// Tallies one execution's fate (kOk counts nothing).
+  void count(ExecutionFate fate) {
+    switch (fate) {
+      case ExecutionFate::kSlotLost: ++slot_lost; break;
+      case ExecutionFate::kElementDown: ++element_down; break;
+      case ExecutionFate::kDropped: ++dropped; break;
+      case ExecutionFate::kCorrupted: ++corrupted; break;
+      case ExecutionFate::kOk: break;
+    }
+  }
   friend bool operator==(const FaultCounters&, const FaultCounters&) = default;
 };
 
@@ -330,8 +340,12 @@ class FaultInjector {
 /// executive dispatches as usual, the plan invalidates executions, and
 /// invocations are re-verified against the surviving ops only (with
 /// jittered arrival streams). An empty plan reproduces run_executive
-/// exactly. A non-null `trace_sink` receives the *visible* horizon-slot
-/// timeline (valid executions busy, everything else idle).
+/// exactly; the plan `drop * rate p` is the i.i.d. omission model (each
+/// execution omitted with probability p). Throws std::invalid_argument
+/// on the inputs run_executive rejects and on a plan
+/// validate_fault_plan rejects. A non-null `trace_sink` receives the
+/// *visible* horizon-slot timeline (valid executions busy, everything
+/// else idle).
 struct FaultRunResult {
   ExecutiveResult executive;
   /// Arrivals after jitter + re-legalization (what was actually served).

@@ -1,6 +1,10 @@
 #include "core/runtime.hpp"
 
+#include <algorithm>
 #include <stdexcept>
+
+#include "core/fault.hpp"
+#include "core/fault_injection.hpp"
 
 namespace rtg::core {
 
@@ -18,6 +22,48 @@ const char* issue_kind_label(ArrivalIssue::Kind kind) {
       return "minimum-separation violation";
   }
   return "unknown issue";
+}
+
+// Validation prelude of every blind executive. `who` prefixes the
+// diagnostic of the std::invalid_argument thrown on a negative horizon,
+// an empty schedule, a malformed arrival stream or (when given) an
+// invalid fault plan.
+void check_run_inputs(const char* who, const StaticSchedule& sched,
+                      const GraphModel& model, const ConstraintArrivals& arrivals,
+                      Time horizon, const FaultPlan* plan) {
+  const std::string prefix = std::string(who) + ": ";
+  if (horizon < 0) throw std::invalid_argument(prefix + "negative horizon");
+  if (sched.length() == 0) throw std::invalid_argument(prefix + "empty schedule");
+  const ArrivalValidation validation = validate_arrivals(model, arrivals);
+  if (!validation.ok()) throw std::invalid_argument(prefix + validation.to_string());
+  if (plan != nullptr) {
+    const std::vector<std::string> issues = validate_fault_plan(*plan, model);
+    if (!issues.empty()) throw std::invalid_argument(prefix + issues.front());
+  }
+}
+
+// The dispatch table unrolled far enough that embeddings for late
+// invocations resolve: a window ending at `horizon` may need ops up to
+// horizon, and the embedding search itself never looks past the
+// window's deadline.
+std::vector<ScheduledOp> unroll_for_horizon(const StaticSchedule& sched,
+                                            const GraphModel& model, Time horizon) {
+  Time max_deadline = 0;
+  std::size_t max_ops = 0;
+  for (const TimingConstraint& c : model.constraints()) {
+    max_deadline = std::max(max_deadline, c.deadline);
+    max_ops = std::max(max_ops, c.task_graph.size());
+  }
+  const std::size_t periods = static_cast<std::size_t>(
+      (horizon + max_deadline) / sched.length() + 1 +
+      static_cast<Time>(2 * max_ops + 2));
+  return unroll_ops(sched, periods);
+}
+
+// Dispatcher decisions of `horizon` slots of the table.
+std::size_t table_dispatches(const StaticSchedule& sched, Time horizon) {
+  return static_cast<std::size_t>(static_cast<Time>(sched.ops().size()) *
+                                  ((horizon + sched.length() - 1) / sched.length()));
 }
 
 }  // namespace
@@ -93,62 +139,106 @@ ArrivalValidation validate_arrivals(const GraphModel& model,
   return v;
 }
 
+ExecutiveResult score_invocations(const GraphModel& model,
+                                  const ConstraintArrivals& arrivals, Time horizon,
+                                  std::span<const ScheduledOp> valid_ops) {
+  ExecutiveResult result;
+  result.horizon = horizon;
+  const auto score = [&](std::size_t i, const TimingConstraint& c, Time t) {
+    InvocationRecord rec;
+    rec.constraint = i;
+    rec.invoked = t;
+    rec.abs_deadline = t + c.deadline;
+    const auto finish = earliest_embedding_finish(c.task_graph, valid_ops, t);
+    if (finish && *finish <= rec.abs_deadline) {
+      rec.completed = finish;
+      rec.satisfied = true;
+    } else {
+      result.all_met = false;
+    }
+    result.invocations.push_back(rec);
+  };
+  for (std::size_t i = 0; i < model.constraint_count(); ++i) {
+    const TimingConstraint& c = model.constraint(i);
+    if (c.periodic()) {
+      for (Time t = 0; t + c.deadline <= horizon; t += c.period) score(i, c, t);
+    } else {
+      for (Time t : arrivals[i]) {
+        if (t + c.deadline <= horizon) score(i, c, t);
+      }
+    }
+  }
+  return result;
+}
+
 ExecutiveResult run_executive(const StaticSchedule& sched, const GraphModel& model,
                               const ConstraintArrivals& arrivals, Time horizon,
                               sim::TraceSink* trace_sink) {
-  if (horizon < 0) throw std::invalid_argument("run_executive: negative horizon");
-  if (sched.length() == 0) throw std::invalid_argument("run_executive: empty schedule");
-  const ArrivalValidation validation = validate_arrivals(model, arrivals);
-  if (!validation.ok()) {
-    throw std::invalid_argument("run_executive: " + validation.to_string());
-  }
-
-  ExecutiveResult result;
-  result.horizon = horizon;
-
-  // Unroll enough periods that embeddings for late invocations resolve:
-  // a window ending at `horizon` may need ops up to horizon, and the
-  // embedding search itself never looks past the window's deadline.
-  Time max_deadline = 0;
-  std::size_t max_ops = 0;
-  for (const TimingConstraint& c : model.constraints()) {
-    max_deadline = std::max(max_deadline, c.deadline);
-    max_ops = std::max(max_ops, c.task_graph.size());
-  }
-  const std::size_t periods = static_cast<std::size_t>(
-      (horizon + max_deadline) / std::max<Time>(sched.length(), 1) + 1 +
-      static_cast<Time>(2 * max_ops + 2));
-  const std::vector<ScheduledOp> ops = unroll_ops(sched, periods);
+  check_run_inputs("run_executive", sched, model, arrivals, horizon, nullptr);
+  const std::vector<ScheduledOp> ops = unroll_for_horizon(sched, model, horizon);
   if (trace_sink != nullptr) emit_timeline(ops, horizon, *trace_sink);
-  result.dispatches = static_cast<std::size_t>(
-      static_cast<Time>(sched.ops().size()) *
-      ((horizon + sched.length() - 1) / sched.length()));
+  ExecutiveResult result = score_invocations(model, arrivals, horizon, ops);
+  result.dispatches = table_dispatches(sched, horizon);
+  return result;
+}
 
-  for (std::size_t i = 0; i < model.constraint_count(); ++i) {
-    const TimingConstraint& c = model.constraint(i);
-    std::vector<Time> instants;
-    if (c.periodic()) {
-      for (Time t = 0; t + c.deadline <= horizon; t += c.period) instants.push_back(t);
-    } else {
-      for (Time t : arrivals[i]) {
-        if (t + c.deadline <= horizon) instants.push_back(t);
-      }
-    }
-    for (Time t : instants) {
-      InvocationRecord rec;
-      rec.constraint = i;
-      rec.invoked = t;
-      rec.abs_deadline = t + c.deadline;
-      const auto finish = earliest_embedding_finish(c.task_graph, ops, t);
-      if (finish && *finish <= rec.abs_deadline) {
-        rec.completed = finish;
-        rec.satisfied = true;
-      } else {
-        rec.satisfied = false;
-        result.all_met = false;
-      }
-      result.invocations.push_back(rec);
-    }
+FaultRunResult run_executive_with_faults(const StaticSchedule& sched,
+                                         const GraphModel& model,
+                                         const ConstraintArrivals& arrivals,
+                                         Time horizon, const FaultPlan& plan,
+                                         sim::TraceSink* trace_sink) {
+  check_run_inputs("run_executive_with_faults", sched, model, arrivals, horizon, &plan);
+  const FaultInjector injector(plan);
+  FaultRunResult result;
+  result.effective_arrivals = injector.apply_arrivals(model, arrivals);
+  FaultedTimeline faulted =
+      injector.apply(unroll_for_horizon(sched, model, horizon), horizon);
+  if (trace_sink != nullptr) emit_timeline(faulted.valid, horizon, *trace_sink);
+  result.executive =
+      score_invocations(model, result.effective_arrivals, horizon, faulted.valid);
+  result.executive.dispatches = table_dispatches(sched, horizon);
+  result.counters = faulted.counters;
+  result.events = std::move(faulted.events);
+  for (const ScheduledOp& op : faulted.ops) {
+    if (op.start < horizon) ++result.total_ops;
+  }
+  return result;
+}
+
+OverrunRunResult run_with_overruns(const StaticSchedule& sched, const GraphModel& model,
+                                   const ConstraintArrivals& arrivals, Time horizon,
+                                   const OverrunModel& overruns,
+                                   sim::TraceSink* trace_sink, const FaultPlan* faults) {
+  check_run_inputs("run_with_overruns", sched, model, arrivals, horizon, faults);
+  const std::vector<ScheduledOp> nominal = unroll_for_horizon(sched, model, horizon);
+
+  OverrunRunResult result;
+  result.total_ops = nominal.size();
+  std::vector<ScheduledOp> actual =
+      inject_overruns(nominal, overruns, &result.overrun_ops);
+  for (std::size_t i = 0; i < nominal.size(); ++i) {
+    result.max_slide = std::max(result.max_slide, actual[i].start - nominal[i].start);
+  }
+
+  // Compose the fault plan over the slid timeline: drift shifts starts
+  // further, fates strike at the realized times, and only survivors
+  // are visible (to the trace and to invocation windows alike).
+  const ConstraintArrivals* served = &arrivals;
+  ConstraintArrivals effective;
+  if (faults != nullptr && !faults->empty()) {
+    const FaultInjector injector(*faults);
+    FaultedTimeline timeline = injector.apply(actual, horizon);
+    result.fault_counters = timeline.counters;
+    actual = std::move(timeline.valid);
+    effective = injector.apply_arrivals(model, arrivals);
+    served = &effective;
+  }
+  if (trace_sink != nullptr) emit_timeline(actual, horizon, *trace_sink);
+
+  const ExecutiveResult scored = score_invocations(model, *served, horizon, actual);
+  result.invocations = scored.invocations.size();
+  for (const InvocationRecord& rec : scored.invocations) {
+    if (rec.satisfied) ++result.satisfied;
   }
   return result;
 }

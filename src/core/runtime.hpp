@@ -10,9 +10,17 @@
 // serves every invocation: each periodic invocation at t = 0, p, 2p, ...
 // and each asynchronous arrival t (given as an explicit stream) must
 // see a complete execution of its task graph inside [t, t+d].
+//
+// runtime.cpp holds every blind (non-adaptive) executive — run_executive
+// here, run_executive_with_faults (core/fault_injection.hpp) and
+// run_with_overruns (core/fault.hpp) — as compositions of one private
+// core: a validation prelude, one unroll budget, emit_timeline and
+// score_invocations. rt::run_self_healing scores through the same
+// score_invocations.
 #pragma once
 
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -98,6 +106,20 @@ struct ArrivalValidation {
 /// non-negative, minimum separation respected. Never throws.
 [[nodiscard]] ArrivalValidation validate_arrivals(const GraphModel& model,
                                                   const ConstraintArrivals& arrivals);
+
+/// The one invocation checker of the blind executives (run_executive,
+/// run_executive_with_faults, run_with_overruns, rt::run_self_healing):
+/// scores every invocation whose deadline falls within `horizon` —
+/// periodic instants 0, p, 2p, ... and the asynchronous instants in
+/// `arrivals` — against `valid_ops`, the sorted, non-overlapping
+/// executions that actually completed. Records come out per constraint
+/// in instant order. Sets invocations, all_met and horizon; dispatches
+/// stays 0 for the caller to fill. `arrivals` must pass
+/// validate_arrivals.
+[[nodiscard]] ExecutiveResult score_invocations(const GraphModel& model,
+                                                const ConstraintArrivals& arrivals,
+                                                Time horizon,
+                                                std::span<const ScheduledOp> valid_ops);
 
 /// Runs the executive for `horizon` slots and verifies every invocation
 /// whose deadline falls within the horizon. Invocations with deadlines

@@ -572,6 +572,31 @@ PlatformFaultRun run_deployment_with_faults(const TolerantDeployment& td,
   Time pending_onset = 0;
   std::string last_state_key = nominal.key();
 
+  // Activation: log the revert / migrate / reroute action, re-validate
+  // the proofs of `next` and dispatch it from now on.
+  auto activate = [&](const ActiveConfig& next, Time onset, Time completed) {
+    rt::RecoveryAction action;
+    action.onset = onset;
+    action.detected = onset;
+    action.completed = completed;
+    if (next.failed != active->failed) {
+      if (next.failed.empty()) {
+        action.kind = rt::RecoveryActionKind::kRevert;
+        ++run.reverts;
+      } else {
+        action.kind = rt::RecoveryActionKind::kMigrate;
+        ++run.migrations;
+      }
+    } else {
+      action.kind = rt::RecoveryActionKind::kReroute;
+      ++run.reroutes;
+    }
+    proof_check(next);
+    run.actions.push_back(action);
+    active = &next;
+    pending = nullptr;
+  };
+
   for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
     const Time a = cuts[i];
     const Time b = cuts[i + 1];
@@ -579,27 +604,7 @@ PlatformFaultRun run_deployment_with_faults(const TolerantDeployment& td,
 
     if (options.heal) {
       if (pending && a >= pending_at) {
-        // Activation: log the action and re-validate the proofs.
-        rt::RecoveryAction action;
-        action.onset = pending_onset;
-        action.detected = pending_onset;
-        action.completed = a;
-        if (pending->failed != active->failed) {
-          if (pending->failed.empty()) {
-            action.kind = rt::RecoveryActionKind::kRevert;
-            ++run.reverts;
-          } else {
-            action.kind = rt::RecoveryActionKind::kMigrate;
-            ++run.migrations;
-          }
-        } else {
-          action.kind = rt::RecoveryActionKind::kReroute;
-          ++run.reroutes;
-        }
-        proof_check(*pending);
-        run.actions.push_back(action);
-        active = pending;
-        pending = nullptr;
+        activate(*pending, pending_onset, a);
       }
       if (state.key() != last_state_key) {
         const ActiveConfig& desired = config_for(state);
@@ -615,26 +620,7 @@ PlatformFaultRun run_deployment_with_faults(const TolerantDeployment& td,
             active = &desired;
             pending = nullptr;
           } else if (options.switch_latency <= 0) {
-            rt::RecoveryAction action;
-            action.onset = a;
-            action.detected = a;
-            action.completed = a;
-            if (desired.failed != active->failed) {
-              if (desired.failed.empty()) {
-                action.kind = rt::RecoveryActionKind::kRevert;
-                ++run.reverts;
-              } else {
-                action.kind = rt::RecoveryActionKind::kMigrate;
-                ++run.migrations;
-              }
-            } else {
-              action.kind = rt::RecoveryActionKind::kReroute;
-              ++run.reroutes;
-            }
-            proof_check(desired);
-            run.actions.push_back(action);
-            active = &desired;
-            pending = nullptr;
+            activate(desired, a, a);
           } else {
             pending = &desired;
             pending_at = a + options.switch_latency;

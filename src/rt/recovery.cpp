@@ -333,7 +333,6 @@ SelfHealingResult run_self_healing(const core::GraphModel& model,
   const RecoveryOptions& opts = config.recovery;
 
   SelfHealingResult result;
-  result.executive.horizon = horizon;
   result.effective_arrivals =
       injector ? injector->apply_arrivals(model, arrivals) : arrivals;
 
@@ -358,25 +357,7 @@ SelfHealingResult run_self_healing(const core::GraphModel& model,
 
   std::vector<ScheduledOp> valid;  // surviving executions, time order
   std::vector<Time> latencies;     // detection-to-recovery samples
-
-  const auto bump = [&](core::ExecutionFate f) {
-    switch (f) {
-      case core::ExecutionFate::kSlotLost:
-        ++result.counters.slot_lost;
-        break;
-      case core::ExecutionFate::kElementDown:
-        ++result.counters.element_down;
-        break;
-      case core::ExecutionFate::kDropped:
-        ++result.counters.dropped;
-        break;
-      case core::ExecutionFate::kCorrupted:
-        ++result.counters.corrupted;
-        break;
-      case core::ExecutionFate::kOk:
-        break;
-    }
-  };
+  std::size_t dispatches = 0;      // table entries executed
 
   // --- Retry machinery (single in-flight, FIFO). ---------------------
   struct Retry {
@@ -644,7 +625,7 @@ SelfHealingResult run_self_healing(const core::GraphModel& model,
               } else {
                 const core::FaultEvent ev{fate, e, start, w};
                 result.fault_events.push_back(ev);
-                bump(fate);
+                result.counters.count(fate);
                 ++r.attempts;
                 if (r.attempts >= opts.max_retries) {
                   RecoveryAction a;
@@ -686,13 +667,13 @@ SelfHealingResult run_self_healing(const core::GraphModel& model,
         emit(ok ? static_cast<sim::Slot>(entry.elem) : sim::kIdle);
         ++t;
       }
-      ++result.executive.dispatches;
+      ++dispatches;
       if (ok) {
         if (start + w <= horizon) valid.push_back(ScheduledOp{entry.elem, start, w});
       } else if (start < horizon) {
         const core::FaultEvent ev{fate, entry.elem, start, w};
         result.fault_events.push_back(ev);
-        bump(fate);
+        result.counters.count(fate);
         enqueue_retries(ev);
       }
       advance_entry(w);
@@ -702,35 +683,9 @@ SelfHealingResult run_self_healing(const core::GraphModel& model,
 
   // --- Offline re-verification of every invocation (same semantics as
   // run_executive_with_faults). -----------------------------------------
-  for (std::size_t i = 0; i < model.constraint_count(); ++i) {
-    const TimingConstraint& c = model.constraint(i);
-    std::vector<Time> instants;
-    if (c.periodic()) {
-      for (Time ti = 0; ti + c.deadline <= horizon; ti += c.period) {
-        instants.push_back(ti);
-      }
-    } else {
-      for (Time ti : result.effective_arrivals[i]) {
-        if (ti + c.deadline <= horizon) instants.push_back(ti);
-      }
-    }
-    for (Time ti : instants) {
-      core::InvocationRecord rec;
-      rec.constraint = i;
-      rec.invoked = ti;
-      rec.abs_deadline = ti + c.deadline;
-      const std::optional<Time> finish =
-          core::earliest_embedding_finish(c.task_graph, valid, ti);
-      if (finish && *finish <= rec.abs_deadline) {
-        rec.completed = finish;
-        rec.satisfied = true;
-      } else {
-        rec.satisfied = false;
-        result.executive.all_met = false;
-      }
-      result.executive.invocations.push_back(rec);
-    }
-  }
+  result.executive =
+      core::score_invocations(model, result.effective_arrivals, horizon, valid);
+  result.executive.dispatches = dispatches;
 
   result.monitor = mon.report();
   result.final_schedule = cur;

@@ -11,18 +11,16 @@
 
 #include <atomic>
 #include <cstddef>
-#include <new>
 #include <span>
 #include <stdexcept>
 #include <vector>
 
 namespace rtg::util {
 
-#ifdef __cpp_lib_hardware_interference_size
-inline constexpr std::size_t kCacheLine = std::hardware_destructive_interference_size;
-#else
+// Fixed rather than std::hardware_destructive_interference_size, whose
+// value may differ between compilers and flags (GCC warns about using
+// it in a header for that reason); 64 bytes is the x86-64 line.
 inline constexpr std::size_t kCacheLine = 64;
-#endif
 
 template <typename T>
 class SpscRing {

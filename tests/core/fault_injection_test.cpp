@@ -3,12 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <string>
 
 #include "core/degradation.hpp"
 #include "core/fault.hpp"
+#include "core/heuristic.hpp"
 #include "core/latency.hpp"
+#include "gen/generator.hpp"
 #include "monitor/streaming_monitor.hpp"
 #include "rt/cyclic_executive.hpp"
+#include "rt/recovery.hpp"
 #include "rt/scheduler.hpp"
 
 namespace rtg::core {
@@ -61,27 +66,84 @@ ConstraintArrivals arrivals_z(Time horizon) {
 
 // --- Baseline equivalence ----------------------------------------------
 
+// Every invocation field, so the blind executives can be compared.
+void expect_same_invocations(const std::vector<InvocationRecord>& a,
+                             const std::vector<InvocationRecord>& b,
+                             const std::string& what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].constraint, b[i].constraint) << what << " #" << i;
+    EXPECT_EQ(a[i].invoked, b[i].invoked) << what << " #" << i;
+    EXPECT_EQ(a[i].abs_deadline, b[i].abs_deadline) << what << " #" << i;
+    EXPECT_EQ(a[i].completed, b[i].completed) << what << " #" << i;
+    EXPECT_EQ(a[i].satisfied, b[i].satisfied) << what << " #" << i;
+  }
+}
+
 TEST(FaultInjection, EmptyPlanReproducesRunExecutive) {
-  const GraphModel model = two_constraint_model();
-  const StaticSchedule sched = two_constraint_schedule();
-  const ConstraintArrivals arrivals = arrivals_z(64);
+  // Clean runs of every blind entry point over the same table agree
+  // invocation for invocation and slot for slot: run_executive, an
+  // empty fault plan, zero-probability overruns, and the self-healing
+  // executive with no faults and a single schedule. Swept over the
+  // standing scenario corpus plus the hand-built two-constraint model.
+  struct Case {
+    std::string name;
+    GraphModel model;
+    StaticSchedule sched;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"two-constraint", two_constraint_model(), two_constraint_schedule()});
+  for (std::uint64_t index = 0; index < 24; ++index) {
+    const gen::Scenario scenario = gen::generate(gen::corpus_options(index));
+    const HeuristicResult h = latency_schedule(scenario.model);
+    if (!h.success) continue;
+    cases.push_back({scenario.name, h.scheduled_model, *h.schedule});
+  }
+  ASSERT_GT(cases.size(), 12u);
 
-  sim::ExecutionTrace plain_trace;
-  sim::TraceAppender plain_sink(plain_trace);
-  const ExecutiveResult plain = run_executive(sched, model, arrivals, 64, &plain_sink);
+  const Time horizon = 240;
+  for (const Case& c : cases) {
+    ConstraintArrivals arrivals(c.model.constraint_count());
+    for (std::size_t i = 0; i < c.model.constraint_count(); ++i) {
+      const TimingConstraint& tc = c.model.constraint(i);
+      if (!tc.periodic()) arrivals[i] = rt::max_rate_arrivals(tc.period, horizon);
+    }
 
-  sim::ExecutionTrace faulted_trace;
-  sim::TraceAppender faulted_sink(faulted_trace);
-  const FaultRunResult faulted =
-      run_executive_with_faults(sched, model, arrivals, 64, FaultPlan{}, &faulted_sink);
+    sim::ExecutionTrace plain_trace;
+    sim::TraceAppender plain_sink(plain_trace);
+    const ExecutiveResult plain =
+        run_executive(c.sched, c.model, arrivals, horizon, &plain_sink);
 
-  EXPECT_EQ(plain_trace, faulted_trace);
-  EXPECT_TRUE(faulted.executive.all_met);
-  EXPECT_EQ(faulted.counters.faulted_ops(), 0u);
-  ASSERT_EQ(plain.invocations.size(), faulted.executive.invocations.size());
-  for (std::size_t i = 0; i < plain.invocations.size(); ++i) {
-    EXPECT_EQ(plain.invocations[i].satisfied, faulted.executive.invocations[i].satisfied);
-    EXPECT_EQ(plain.invocations[i].invoked, faulted.executive.invocations[i].invoked);
+    sim::ExecutionTrace faulted_trace;
+    sim::TraceAppender faulted_sink(faulted_trace);
+    const FaultRunResult faulted = run_executive_with_faults(
+        c.sched, c.model, arrivals, horizon, FaultPlan{}, &faulted_sink);
+    EXPECT_EQ(plain_trace, faulted_trace) << c.name;
+    EXPECT_EQ(faulted.executive.all_met, plain.all_met) << c.name;
+    EXPECT_EQ(faulted.executive.dispatches, plain.dispatches) << c.name;
+    EXPECT_EQ(faulted.counters.faulted_ops(), 0u) << c.name;
+    expect_same_invocations(plain.invocations, faulted.executive.invocations,
+                            c.name + " with an empty plan");
+
+    // run_with_overruns reports tallies, not records: its slot trace
+    // pins the timeline and the tallies pin the scoring.
+    sim::ExecutionTrace overrun_trace;
+    sim::TraceAppender overrun_sink(overrun_trace);
+    const OverrunRunResult overrun = run_with_overruns(
+        c.sched, c.model, arrivals, horizon, OverrunModel{}, &overrun_sink);
+    EXPECT_EQ(plain_trace, overrun_trace) << c.name;
+    EXPECT_EQ(overrun.invocations, plain.invocations.size()) << c.name;
+    EXPECT_EQ(overrun.satisfied, faulted.satisfied_count()) << c.name;
+
+    rt::FailoverOptions fo;
+    fo.max_offsets = std::numeric_limits<std::size_t>::max();
+    const rt::FailoverTable table = rt::compute_failover_table(c.model, {c.sched}, fo);
+    const rt::SelfHealingResult healed =
+        rt::run_self_healing(c.model, table, arrivals, horizon, {});
+    EXPECT_EQ(plain_trace, healed.trace) << c.name;
+    EXPECT_EQ(healed.executive.all_met, plain.all_met) << c.name;
+    expect_same_invocations(plain.invocations, healed.executive.invocations,
+                            c.name + " self-healing");
   }
 }
 

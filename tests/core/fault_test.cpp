@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
+#include "core/fault_injection.hpp"
 #include "core/latency.hpp"
 #include "rt/scheduler.hpp"
 
@@ -12,6 +15,11 @@ TaskGraph single(ElementId e) {
   TaskGraph tg;
   tg.add_op(e);
   return tg;
+}
+
+// The omission model: every execution dropped with probability `rate`.
+FaultPlan omissions(double rate, std::uint64_t seed) {
+  return FaultPlan{seed, {FaultSpec{FaultKind::kDrop, 0, kOpenEnd, rate}}};
 }
 
 GraphModel one_async(Time d) {
@@ -114,38 +122,34 @@ TEST(HardenAndSchedule, FailsWhenNoBudget) {
   EXPECT_NE(r.failure_reason.find("deadline too small"), std::string::npos);
 }
 
-TEST(RunWithFailures, ZeroFailureRateServesEverything) {
+TEST(OmissionPlan, ZeroFailureRateServesEverything) {
   const GraphModel model = one_async(8);
   const HardenedResult r = harden_and_schedule(model, 0);
   ASSERT_TRUE(r.success);
   const auto arrivals = rt::max_rate_arrivals(4, 400);
-  FailureModel fm;
-  fm.omission_probability = 0.0;
-  const FaultInjectionResult fr =
-      run_with_failures(*r.schedule, r.scheduled_model, {arrivals}, 420, fm);
-  EXPECT_EQ(fr.failed_ops, 0u);
+  const FaultRunResult fr = run_executive_with_faults(
+      *r.schedule, r.scheduled_model, {arrivals}, 420, omissions(0.0, 1));
+  EXPECT_EQ(fr.counters.faulted_ops(), 0u);
   EXPECT_DOUBLE_EQ(fr.survival_rate(), 1.0);
-  EXPECT_GT(fr.invocations, 50u);
+  EXPECT_GT(fr.executive.invocations.size(), 50u);
 }
 
-TEST(RunWithFailures, HardenedScheduleSurvivesBetter) {
+TEST(OmissionPlan, HardenedScheduleSurvivesBetter) {
   const GraphModel model = one_async(12);
   const HardenedResult plain = harden_and_schedule(model, 0);
   const HardenedResult hard = harden_and_schedule(model, 2);
   ASSERT_TRUE(plain.success && hard.success);
 
   const auto arrivals = rt::max_rate_arrivals(4, 2000);
-  FailureModel fm;
-  fm.omission_probability = 0.3;
-  fm.seed = 99;
+  const FaultPlan plan = omissions(0.3, 99);
   // Verify against the ORIGINAL 12-slot deadlines (the hardened models
   // carry the divided deadlines; the element ids coincide because the
   // single element is unit weight and needs no pipelining).
-  const FaultInjectionResult p =
-      run_with_failures(*plain.schedule, model, {arrivals}, 2100, fm);
-  const FaultInjectionResult h =
-      run_with_failures(*hard.schedule, model, {arrivals}, 2100, fm);
-  EXPECT_GT(p.failed_ops, 0u);
+  const FaultRunResult p =
+      run_executive_with_faults(*plain.schedule, model, {arrivals}, 2100, plan);
+  const FaultRunResult h =
+      run_executive_with_faults(*hard.schedule, model, {arrivals}, 2100, plan);
+  EXPECT_GT(p.counters.dropped, 0u);
   EXPECT_GT(h.survival_rate(), p.survival_rate());
   EXPECT_GT(h.survival_rate(), 0.95);
 }
@@ -266,16 +270,34 @@ TEST(RunWithOverruns, HeavyOverrunsCauseMisses) {
   EXPECT_LT(out.survival_rate(), 1.0);
 }
 
-TEST(RunWithFailures, TotalLossKillsEverything) {
+TEST(RunWithOverruns, RejectsMalformedArrivalsAndNegativeHorizon) {
+  // The shared executive prelude rejects what run_executive rejects: an
+  // unsorted stream with a negative instant, and negative horizons.
+  const GraphModel model = one_async(8);
+  const HardenedResult r = harden_and_schedule(model, 0);
+  ASSERT_TRUE(r.success);
+  OverrunModel om;
+  om.probability = 0.5;
+  EXPECT_THROW((void)run_with_overruns(*r.schedule, r.scheduled_model,
+                                       {{10, 2, 3, -5}}, 100, om),
+               std::invalid_argument);
+  const auto arrivals = rt::max_rate_arrivals(4, 100);
+  EXPECT_THROW(
+      (void)run_with_overruns(*r.schedule, r.scheduled_model, {arrivals}, -1, om),
+      std::invalid_argument);
+  EXPECT_THROW(
+      (void)run_with_overruns(*r.schedule, r.scheduled_model, {arrivals}, -1000, om),
+      std::invalid_argument);
+}
+
+TEST(OmissionPlan, TotalLossKillsEverything) {
   const GraphModel model = one_async(8);
   const HardenedResult r = harden_and_schedule(model, 0);
   ASSERT_TRUE(r.success);
   const auto arrivals = rt::max_rate_arrivals(4, 200);
-  FailureModel fm;
-  fm.omission_probability = 1.0;
-  const FaultInjectionResult fr =
-      run_with_failures(*r.schedule, r.scheduled_model, {arrivals}, 220, fm);
-  EXPECT_EQ(fr.satisfied, 0u);
+  const FaultRunResult fr = run_executive_with_faults(
+      *r.schedule, r.scheduled_model, {arrivals}, 220, omissions(1.0, 1));
+  EXPECT_EQ(fr.satisfied_count(), 0u);
 }
 
 }  // namespace

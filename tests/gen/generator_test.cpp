@@ -123,11 +123,13 @@ TEST(Generator, SporadicFractionExtremes) {
   ScenarioOptions options;
   options.constraints.constraints = 4;
   options.constraints.sporadic_fraction = 1.0;
-  for (const core::TimingConstraint& c : generate(options).model.constraints()) {
+  const Scenario sporadic = generate(options);
+  for (const core::TimingConstraint& c : sporadic.model.constraints()) {
     EXPECT_FALSE(c.periodic());
   }
   options.constraints.sporadic_fraction = 0.0;
-  for (const core::TimingConstraint& c : generate(options).model.constraints()) {
+  const Scenario periodic = generate(options);
+  for (const core::TimingConstraint& c : periodic.model.constraints()) {
     EXPECT_TRUE(c.periodic());
   }
 }
@@ -140,7 +142,8 @@ TEST(Generator, LatencyDensityTightensDeadlines) {
   std::size_t total = 0;
   for (std::uint64_t seed = 0; seed < 12; ++seed) {
     options.seed = seed;
-    for (const core::TimingConstraint& c : generate(options).model.constraints()) {
+    const Scenario scenario = generate(options);
+    for (const core::TimingConstraint& c : scenario.model.constraints()) {
       ++total;
       if (c.deadline < c.period) ++tight;
     }
