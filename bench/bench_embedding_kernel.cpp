@@ -1,4 +1,4 @@
-// E17 — indexed embedding kernel + incremental re-verification (ISSUE 3).
+// E17 — indexed embedding kernel + incremental re-verification.
 //
 // Three measurements, all single-thread (the win is algorithmic):
 //   1. Before/after on E16's verify workload: the flat-scan reference
@@ -10,8 +10,17 @@
 //      full flat verification per candidate vs compact_schedule on the
 //      IncrementalVerifier, with the incremental cache-hit counter.
 // Emits BENCH_embedding.json in the working directory.
+//
+// --smoke: quick CI guard — checks every E16 report against the flat
+// reference, then exits non-zero unless the indexed serial engine beats
+// flat_reference by >= 3x, best of two batches (the full run measures
+// ~15-20x; 3x leaves room for sanitizer-free CI hosts of any speed).
+// Wired as the perf_smoke_embedding ctest, skipped under sanitizers
+// where instrumentation distorts the ratio.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -210,6 +219,36 @@ StaticSchedule legacy_compact(const StaticSchedule& sched, const GraphModel& mod
   return current;
 }
 
+int run_smoke(int n_cases) {
+  constexpr int kReps = 4;
+  constexpr int kBatches = 2;
+  const auto cases = make_e16_cases(n_cases);
+  for (const VerifyCase& c : cases) {
+    core::VerifyOptions flat_options;
+    flat_options.flat_reference = true;
+    core::VerifyOptions options;
+    options.n_threads = 1;
+    if (!(core::verify_schedule(c.schedule, c.model, options) ==
+          core::verify_schedule(c.schedule, c.model, flat_options))) {
+      std::fprintf(stderr, "indexed engine is not bit-identical to flat!\n");
+      return 1;
+    }
+  }
+  double flat_s = time_verify(cases, kReps, /*flat_reference=*/true, nullptr);
+  double indexed_s = time_verify(cases, kReps, /*flat_reference=*/false, nullptr);
+  for (int b = 1; b < kBatches; ++b) {
+    flat_s = std::min(flat_s, time_verify(cases, kReps, true, nullptr));
+    indexed_s = std::min(indexed_s, time_verify(cases, kReps, false, nullptr));
+  }
+  const double ratio = flat_s / indexed_s;
+  std::printf("# smoke: indexed %.2fx over flat (gate: >= 3x)\n", ratio);
+  if (ratio < 3.0) {
+    std::fprintf(stderr, "perf smoke FAILED: indexed only %.2fx over flat\n", ratio);
+    return 1;
+  }
+  return 0;
+}
+
 struct SweepRow {
   int elements = 0;
   int chain = 0;
@@ -220,10 +259,11 @@ struct SweepRow {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   constexpr int kE16Cases = 12;
   constexpr int kE16Reps = 40;
   constexpr int kSweepReps = 20;
+  if (argc > 1 && std::strcmp(argv[1], "--smoke") == 0) return run_smoke(kE16Cases);
 
   std::setvbuf(stdout, nullptr, _IONBF, 0);  // progress visible when redirected
   std::printf("# E17: indexed embedding kernel (hardware_concurrency = %zu)\n",

@@ -30,38 +30,13 @@
 
 namespace rtg::core {
 
-/// Process-wide hot-path layer toggles (E22 ablation). Defaults are the
-/// fully optimized configuration; bench_hotpath and the ablation tests
-/// flip layers off one at a time to attribute the speedup. The flags
-/// are captured when an UnrollIndex / EmbeddingKernel / verify plan is
-/// *built*, so flip them only between verifications, never mid-query,
-/// and only from one thread (bench/test usage — production code leaves
-/// the defaults alone).
-struct HotPathConfig {
-  /// Structure-of-arrays index columns + pooled plan / query tables.
-  bool soa = true;
-  /// Per-element occurrence bitset rows + row gates before binary search.
-  bool bitset = true;
-  /// Bump-arena kernel scratch instead of per-kernel std::vectors.
-  bool arena = true;
-  /// Measured serial/parallel cutoff instead of the fixed constant.
-  bool calibrate = true;
-};
-
-[[nodiscard]] HotPathConfig& hotpath_config();
-
 /// Work-unit count below which auto-mode (n_threads == 0) verification
 /// stays serial. Resolution order, cached per process on first use:
 /// the RTG_SERIAL_CUTOFF environment variable if set; otherwise a
 /// one-shot calibration that measures the per-unit cost of a canned
 /// serial verify against the cost of spawning a thread pool and picks
-/// the crossover; a fixed fallback (256) when HotPathConfig::calibrate
-/// is off. See docs/PERF.md.
+/// the crossover. See docs/PERF.md.
 [[nodiscard]] std::size_t serial_parallel_cutoff();
-
-/// The calibration probe behind serial_parallel_cutoff(), uncached:
-/// measures and returns the crossover directly (bench/E22 reporting).
-[[nodiscard]] std::size_t calibrate_serial_cutoff();
 
 /// Earliest finish time over all embeddings of `tg` into `ops` whose
 /// executions all start at or after `window_begin`. `ops` must be
@@ -107,13 +82,13 @@ struct EmbeddingWitness {
 /// against this view are valid positions into the public unrolled-op
 /// sequence.
 ///
-/// Layout (ISSUE 8): the base period is stored as parallel columns
-/// (start / duration / element) so the binary searches walk one
-/// contiguous Time column; per-element occurrence rows carry their own
-/// contiguous start column plus a bitset row (one uint64_t word per 64
-/// base ops) whose gates and masks resolve the common probes — window
-/// at or before the row's first start, wrap past its last, next
-/// occurrence within the same word — before any binary search is paid.
+/// Layout: the base period is stored as parallel columns (start /
+/// duration / element); per-element occurrence rows (CSR over base
+/// positions) carry their own contiguous start column for the binary
+/// searches. Two row gates resolve the common probes before any binary
+/// search is paid: a window at or before the row's first start takes
+/// the row head, one past its last start wraps to the next cycle's head.
+/// The next occurrence of an op is one rank lookup (occurrence_rank).
 class UnrollIndex {
  public:
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
@@ -141,15 +116,9 @@ class UnrollIndex {
 
   /// Column accessors for the base-period op at base index `idx`
   /// (idx < ops_per_period()).
-  [[nodiscard]] Time base_start(std::size_t idx) const {
-    return aos_.empty() ? starts_[idx] : aos_[idx].start;
-  }
-  [[nodiscard]] Time base_duration(std::size_t idx) const {
-    return aos_.empty() ? durations_[idx] : aos_[idx].duration;
-  }
-  [[nodiscard]] ElementId base_elem(std::size_t idx) const {
-    return aos_.empty() ? elems_[idx] : aos_[idx].elem;
-  }
+  [[nodiscard]] Time base_start(std::size_t idx) const { return starts_[idx]; }
+  [[nodiscard]] Time base_duration(std::size_t idx) const { return durations_[idx]; }
+  [[nodiscard]] ElementId base_elem(std::size_t idx) const { return elems_[idx]; }
   /// The base-period op at base index `idx`, assembled from the columns.
   [[nodiscard]] ScheduledOp base_op(std::size_t idx) const {
     return ScheduledOp{base_elem(idx), base_start(idx), base_duration(idx)};
@@ -164,8 +133,8 @@ class UnrollIndex {
   /// index < limit, or npos. `limit` caps the searchable op prefix so a
   /// query over k periods of a longer index behaves exactly like a
   /// query over unroll_ops(sched, k). When `row_skips` is non-null it
-  /// is bumped for every call the occurrence-row gates resolved without
-  /// a binary search (KernelCounters::bitset_skips).
+  /// is bumped for every call the first-/last-start row gates resolved
+  /// without a binary search (KernelCounters::bitset_skips).
   [[nodiscard]] std::size_t first_at_or_after(ElementId e, Time t, std::size_t limit,
                                               std::size_t* row_skips = nullptr) const;
 
@@ -173,26 +142,11 @@ class UnrollIndex {
   /// element as op `idx`, below `limit`; npos when exhausted.
   [[nodiscard]] std::size_t next_occurrence(std::size_t idx, std::size_t limit) const;
 
-  /// True iff some execution of `e` in the cyclic extension starts in
-  /// [a, b). Resolved from the occurrence bitset row: the window maps
-  /// to a base-position range via the shared contiguous start column,
-  /// then the element's row words are mask-tested — no per-element
-  /// binary search. (Periods-horizon agnostic: answers over the
-  /// infinite cyclic trace.)
-  [[nodiscard]] bool occupied_in(ElementId e, Time a, Time b) const;
-
  private:
-  [[nodiscard]] std::size_t search_row(std::size_t row_begin, std::size_t row_end,
-                                       Time rel) const;
-  [[nodiscard]] bool row_has_start_in(std::size_t bucket, Time x, Time y) const;
-
   // SoA columns of one period, sorted by start (idle entries dropped).
   std::vector<Time> starts_;
   std::vector<Time> durations_;
   std::vector<ElementId> elems_;
-  // Ablation only (HotPathConfig::soa == false): the legacy AoS copy;
-  // when non-empty, searches and accessors take the indirect path.
-  std::vector<ScheduledOp> aos_;
 
   Time period_ = 0;
   std::size_t periods_ = 0;
@@ -204,12 +158,6 @@ class UnrollIndex {
   std::vector<std::size_t> occ_idx_;      // base indices
   std::vector<Time> occ_starts_;          // starts_[occ_idx_[i]]
   std::vector<std::size_t> occ_rank_;     // per base op: rank within its row
-
-  // Occurrence bitset rows: bit p of element e's row is set iff base op
-  // p executes e. Empty when HotPathConfig::bitset is off.
-  std::size_t words_per_row_ = 0;
-  std::vector<std::uint64_t> bits_;
-  bool bitset_ = true;  // captured from hotpath_config() at build time
 };
 
 /// Counters of one EmbeddingKernel; merged into VerifyStats.
@@ -220,8 +168,9 @@ struct KernelCounters {
   std::size_t index_seeks = 0;
   /// Queries that reused the kernel's scratch arena (no allocation).
   std::size_t arena_reuses = 0;
-  /// Index seeks the occurrence-row bitset/metadata resolved without
-  /// paying a binary search (first-/last-start gates).
+  /// Index seeks the first-/last-start row gates resolved without
+  /// paying a binary search. The name is the one `--stats` and
+  /// perfbench report.
   std::size_t bitset_skips = 0;
 
   KernelCounters& operator+=(const KernelCounters& o) {
@@ -310,22 +259,14 @@ class EmbeddingKernel {
   };
   void seed_hint(SeekHint& h, ElementId e, Time ready);
 
-  // Scratch, arena-backed (raw pointers into arena_) in the default
-  // configuration; the *_vec_ members back the pointers instead when
-  // HotPathConfig::arena is off (ablation).
+  // Scratch: raw pointers into arena_ (the caller's arena or own_arena_).
   util::Arena own_arena_;
-  util::Arena* arena_ = nullptr;  // null = legacy vector scratch
+  util::Arena* arena_ = nullptr;
   Time* finish_ = nullptr;                  // per task-graph op
   std::size_t* chosen_ = nullptr;           // per task-graph op, current path
   std::size_t* best_assignment_ = nullptr;  // per task-graph op, best path
   SeekHint* hint_ = nullptr;                // per task-graph op
   std::uint64_t* used_words_ = nullptr;     // BnB only, lazily sized
-  std::size_t used_words_len_ = 0;
-  std::vector<Time> finish_vec_;
-  std::vector<std::size_t> chosen_vec_;
-  std::vector<std::size_t> best_vec_;
-  std::vector<SeekHint> hint_vec_;
-  std::vector<std::uint64_t> used_vec_;
 
   Time last_begin_ = 0;
   bool hints_primed_ = false;
@@ -410,8 +351,9 @@ struct VerifyStats {
   std::size_t incremental_hits = 0;
   /// Kernel queries that reused a warm scratch arena (no allocation).
   std::size_t arena_reuses = 0;
-  /// Index seeks resolved by an occurrence-row bitset/metadata gate
-  /// without a binary search (summed across kernels and threads).
+  /// Index seeks resolved by a first-/last-start row gate without a
+  /// binary search (summed across kernels and threads; see
+  /// KernelCounters::bitset_skips).
   std::size_t bitset_skips = 0;
   /// High-water mark of live scratch-arena bytes, maxed across workers.
   std::size_t arena_bytes_peak = 0;
@@ -437,7 +379,7 @@ struct VerifyOptions {
   /// Worker threads for the per-constraint x per-window fan-out.
   /// 0 = auto: hardware concurrency, except that single-core hosts and
   /// plans below serial_parallel_cutoff() fall back to the serial path
-  /// (spawning workers would only add overhead — see E16/E17/E22).
+  /// (spawning workers would only add overhead — see E16/E17).
   /// 1 = serial; >= 2 = always the parallel engine.
   std::size_t n_threads = 0;
   /// Optional engine counters.

@@ -60,10 +60,11 @@ std::vector<ScheduledOp> unroll_for_horizon(const StaticSchedule& sched,
   return unroll_ops(sched, periods);
 }
 
-// Dispatcher decisions of `horizon` slots of the table.
-std::size_t table_dispatches(const StaticSchedule& sched, Time horizon) {
-  return static_cast<std::size_t>(static_cast<Time>(sched.ops().size()) *
-                                  ((horizon + sched.length() - 1) / sched.length()));
+// Dispatcher decisions of a run: one per op that starts before the
+// horizon.
+std::size_t dispatches_before(std::span<const ScheduledOp> ops, Time horizon) {
+  return static_cast<std::size_t>(std::count_if(
+      ops.begin(), ops.end(), [horizon](const ScheduledOp& op) { return op.start < horizon; }));
 }
 
 }  // namespace
@@ -178,7 +179,7 @@ ExecutiveResult run_executive(const StaticSchedule& sched, const GraphModel& mod
   const std::vector<ScheduledOp> ops = unroll_for_horizon(sched, model, horizon);
   if (trace_sink != nullptr) emit_timeline(ops, horizon, *trace_sink);
   ExecutiveResult result = score_invocations(model, arrivals, horizon, ops);
-  result.dispatches = table_dispatches(sched, horizon);
+  result.dispatches = dispatches_before(ops, horizon);
   return result;
 }
 
@@ -196,12 +197,10 @@ FaultRunResult run_executive_with_faults(const StaticSchedule& sched,
   if (trace_sink != nullptr) emit_timeline(faulted.valid, horizon, *trace_sink);
   result.executive =
       score_invocations(model, result.effective_arrivals, horizon, faulted.valid);
-  result.executive.dispatches = table_dispatches(sched, horizon);
+  result.total_ops = dispatches_before(faulted.ops, horizon);
+  result.executive.dispatches = result.total_ops;
   result.counters = faulted.counters;
   result.events = std::move(faulted.events);
-  for (const ScheduledOp& op : faulted.ops) {
-    if (op.start < horizon) ++result.total_ops;
-  }
   return result;
 }
 

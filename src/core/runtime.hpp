@@ -60,8 +60,9 @@ struct ExecutiveResult {
   std::vector<InvocationRecord> invocations;
   bool all_met = true;
   Time horizon = 0;
-  /// Dispatcher decisions taken (one per schedule entry executed) —
-  /// the run-time cost driver the paper's efficiency claim is about.
+  /// Dispatcher decisions taken (one per execution entry started
+  /// before the horizon; idle entries take none) — the run-time cost
+  /// the paper's efficiency claim is about.
   std::size_t dispatches = 0;
 };
 

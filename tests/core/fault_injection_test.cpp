@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <limits>
 #include <string>
+#include <utility>
 
 #include "core/degradation.hpp"
 #include "core/fault.hpp"
@@ -142,8 +143,33 @@ TEST(FaultInjection, EmptyPlanReproducesRunExecutive) {
         rt::run_self_healing(c.model, table, arrivals, horizon, {});
     EXPECT_EQ(plain_trace, healed.trace) << c.name;
     EXPECT_EQ(healed.executive.all_met, plain.all_met) << c.name;
+    EXPECT_EQ(healed.executive.dispatches, plain.dispatches) << c.name;
     expect_same_invocations(plain.invocations, healed.executive.invocations,
                             c.name + " self-healing");
+  }
+}
+
+TEST(FaultInjection, DispatchesCountEntriesStartedBeforeHorizon) {
+  // A 3-op, length-8 table cut mid-period: 7 full periods give 21
+  // dispatches, then the ops at 56 and 57 fall inside horizon 58 and
+  // only the one at 56 inside horizon 57. Every blind executive counts
+  // those, not whole table periods (3 * ceil(horizon / 8) = 24).
+  const GraphModel model = two_constraint_model();
+  const StaticSchedule sched = two_constraint_schedule();
+  rt::FailoverOptions fo;
+  fo.max_offsets = std::numeric_limits<std::size_t>::max();
+  const rt::FailoverTable table = rt::compute_failover_table(model, {sched}, fo);
+  for (const auto& [horizon, want] :
+       {std::pair<Time, std::size_t>{57, 22}, std::pair<Time, std::size_t>{58, 23}}) {
+    const ConstraintArrivals arrivals = arrivals_z(horizon);
+    const ExecutiveResult plain = run_executive(sched, model, arrivals, horizon);
+    const FaultRunResult faulted =
+        run_executive_with_faults(sched, model, arrivals, horizon, FaultPlan{});
+    const rt::SelfHealingResult healed =
+        rt::run_self_healing(model, table, arrivals, horizon, {});
+    EXPECT_EQ(plain.dispatches, want) << "horizon " << horizon;
+    EXPECT_EQ(faulted.executive.dispatches, want) << "horizon " << horizon;
+    EXPECT_EQ(healed.executive.dispatches, want) << "horizon " << horizon;
   }
 }
 
