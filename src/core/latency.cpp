@@ -1,8 +1,6 @@
 #include "core/latency.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <map>
@@ -1030,137 +1028,70 @@ bool cancel_requested(const std::atomic<bool>* cancel,
   return cancel != nullptr && cancel->load(std::memory_order_relaxed);
 }
 
-// Serial indexed path: one shared UnrollIndex, one kernel per
-// contiguous (tg_id, periods) query group, memoized like the parallel
-// path (identical pure queries are answered once). One bump arena backs
-// every kernel's scratch; it resets at group switches, so each kernel
-// re-lands on the same warm block.
-FeasibilityReport verify_serial(const StaticSchedule& sched, const GraphModel& model,
-                                const VerifyPlan& plan, VerifyStats* stats,
-                                const std::atomic<bool>* cancel = nullptr,
-                                std::atomic<std::uint64_t>* progress = nullptr) {
+// Indexed path: one shared read-only UnrollIndex and the query table
+// cut into contiguous parts, each filling its own memo slots. A part
+// sweeps its queries like one serial pass: one kernel per (tg_id,
+// periods) group segment, all backed by one bump arena that resets at
+// group switches, so each kernel re-lands on the same warm block. As
+// parts are contiguous, each sweeps its group segments in ascending
+// window order and the kernels' monotone seek hints amortize exactly as
+// in a single pass. (A shuffled deal gives every part a strided
+// subsequence whose hint walks re-cover the gaps.) The parts follow the
+// requested n_threads, never the host, and every query is pure, so
+// results and stats do not depend on which thread ran which part.
+FeasibilityReport verify_indexed(const StaticSchedule& sched, const GraphModel& model,
+                                 const VerifyPlan& plan, std::size_t n_threads,
+                                 VerifyStats* stats, const std::atomic<bool>* cancel,
+                                 std::atomic<std::uint64_t>* progress) {
   const QueryTable table = build_query_table(plan);
-  std::vector<Time> memo(table.queries.size(), kInf);
+  const std::size_t n_queries = table.queries.size();
+  std::vector<Time> memo(n_queries, kInf);
   KernelCounters counters;
   std::size_t arena_peak = 0;
-  if (!table.queries.empty()) {
+  std::atomic<bool> abandoned{false};
+  if (n_queries != 0) {
     const UnrollIndex index(sched, plan.max_periods);
-    util::Arena arena;
-    std::optional<EmbeddingKernel> kernel;
-    std::size_t cur_tg = UnrollIndex::npos;
-    std::size_t cur_periods = 0;
-    for (std::size_t q = 0; q < table.queries.size(); ++q) {
-      if ((q & 63) == 0 && cancel_requested(cancel, progress)) return cancelled_report();
-      const Query& query = table.queries[q];
-      if (!kernel || query.tg_id != cur_tg || query.periods != cur_periods) {
-        if (kernel) {
-          counters += kernel->counters();
-          kernel.reset();  // before the arena reset: its scratch dies with it
-          arena.reset();
-        }
-        kernel.emplace(*plan.tg_of_id[query.tg_id], index, query.periods, &arena);
-        cur_tg = query.tg_id;
-        cur_periods = query.periods;
-      }
-      const auto finish = kernel->finish_at(query.t);
-      memo[q] = finish ? *finish : kInf;
-    }
-    if (kernel) counters += kernel->counters();
-    arena_peak = arena.bytes_peak();
-  }
-  fill_stats(stats, plan, table, counters, 1, arena_peak);
-  return reduce_full(plan, table, memo, model);
-}
-
-FeasibilityReport verify_parallel(const StaticSchedule& sched, const GraphModel& model,
-                                  const VerifyPlan& plan, std::size_t n_threads,
-                                  VerifyStats* stats,
-                                  const std::atomic<bool>* cancel = nullptr,
-                                  std::atomic<std::uint64_t>* progress = nullptr) {
-  const QueryTable table = build_query_table(plan);
-  std::vector<Time> memo(table.queries.size(), kInf);
-  KernelCounters counters;
-  std::size_t arena_peak = 0;
-  if (!table.queries.empty()) {
-    // Shared read-only index built before the pool; workers fill
-    // disjoint memo slots with per-part kernels (the scratch arenas are
-    // mutable), so the hot loop stays lock-free.
-    const UnrollIndex index(sched, plan.max_periods);
-    // Parts are *contiguous* chunks of the query table: a part then
-    // sweeps each of its (tg, periods) group segments in ascending
-    // window order, so the kernels' monotone seek hints amortize
-    // exactly as in the serial path. (A shuffled deal gives every part
-    // a strided subsequence whose hint walks re-cover the gaps — the
-    // E16 n_threads >= 2 collapse.) Work-stealing over 4x chunks
-    // rebalances uneven groups; the split cannot affect results, since
-    // slots are disjoint and every query is pure.
-    const std::size_t n_queries = table.queries.size();
-    const std::size_t n_parts = std::min(n_queries, 4 * n_threads);
-    std::vector<std::pair<std::size_t, std::size_t>> parts(n_parts);
-    for (std::size_t pi = 0, begin = 0; pi < n_parts; ++pi) {
-      const std::size_t len = n_queries / n_parts + (pi < n_queries % n_parts ? 1 : 0);
-      parts[pi] = {begin, begin + len};
-      begin += len;
-    }
-    std::vector<KernelCounters> part_counters(parts.size());
-    std::vector<std::size_t> part_peaks(parts.size(), 0);
+    const std::size_t n_parts = n_threads <= 1 ? 1 : std::min(n_queries, 4 * n_threads);
+    const std::size_t base = n_queries / n_parts;
+    const std::size_t extra = n_queries % n_parts;
+    std::vector<KernelCounters> part_counters(n_parts);
+    std::vector<std::size_t> part_peaks(n_parts, 0);
     const auto run_part = [&](std::size_t pi) {
+      const std::size_t begin = pi * base + std::min(pi, extra);
+      const std::size_t end = begin + base + (pi < extra ? 1 : 0);
       util::Arena arena;
-      std::map<std::pair<std::size_t, std::size_t>, EmbeddingKernel> kernels;
-      // Chunks are contiguous, so group switches are rare: queries of
-      // one group hit the cached kernel with two integer compares, and
-      // the map is consulted only at segment boundaries.
-      EmbeddingKernel* cur = nullptr;
+      std::optional<EmbeddingKernel> kernel;
       std::size_t cur_tg = UnrollIndex::npos;
       std::size_t cur_periods = 0;
-      for (std::size_t q = parts[pi].first; q < parts[pi].second; ++q) {
-        if (cancel_requested(cancel, progress)) break;  // abandon remaining queries
+      for (std::size_t q = begin; q < end; ++q) {
+        if (((q - begin) & 63) == 0 && cancel_requested(cancel, progress)) {
+          abandoned = true;
+          break;
+        }
         const Query& query = table.queries[q];
-        if (cur == nullptr || query.tg_id != cur_tg || query.periods != cur_periods) {
-          const auto key = std::make_pair(query.tg_id, query.periods);
-          auto it = kernels.find(key);
-          if (it == kernels.end()) {
-            it = kernels
-                     .emplace(std::piecewise_construct, std::forward_as_tuple(key),
-                              std::forward_as_tuple(*plan.tg_of_id[query.tg_id], index,
-                                                    query.periods, &arena))
-                     .first;
+        if (!kernel || query.tg_id != cur_tg || query.periods != cur_periods) {
+          if (kernel) {
+            part_counters[pi] += kernel->counters();
+            kernel.reset();  // before the arena reset: its scratch dies with it
+            arena.reset();
           }
-          cur = &it->second;
+          kernel.emplace(*plan.tg_of_id[query.tg_id], index, query.periods, &arena);
           cur_tg = query.tg_id;
           cur_periods = query.periods;
         }
-        const auto finish = cur->finish_at(query.t);
+        const auto finish = kernel->finish_at(query.t);
         memo[q] = finish ? *finish : kInf;
       }
-      for (const auto& [key, kernel] : kernels) {
-        part_counters[pi] += kernel.counters();
-      }
+      if (kernel) part_counters[pi] += kernel->counters();
       part_peaks[pi] = arena.bytes_peak();
     };
-    const std::size_t pool_threads = util::resolve_threads(n_threads);
-    if (pool_threads > 1) {
-      // Sized by the clamped count: workers beyond the cores only
-      // preempt the ones that run. The parts still follow n_threads.
-      util::ThreadPool pool(pool_threads);
-      for (std::size_t pi = 0; pi < parts.size(); ++pi) {
-        pool.submit([&run_part, pi] { run_part(pi); });
-      }
-      pool.wait_idle();
-    } else {
-      // The clamped pool would hold a single worker (single-core host):
-      // spawning it buys no parallelism, only thread create/join and
-      // scheduler churn. Run the identical per-part tasks inline — the
-      // partitioning, kernels, and counters stay a function of the
-      // requested n_threads, so results and stats match the pooled run.
-      for (std::size_t pi = 0; pi < parts.size(); ++pi) run_part(pi);
-    }
+    util::parallel_for(n_parts, util::resolve_threads(n_threads), run_part);
     for (const KernelCounters& c : part_counters) counters += c;
     for (const std::size_t peak : part_peaks) arena_peak = std::max(arena_peak, peak);
   }
-  // Workers that saw the cancel flag left their memo slots unanswered,
-  // so the table cannot be reduced to a trustworthy verdict.
-  if (cancel_requested(cancel)) return cancelled_report();
+  // A part that saw the cancel flag left its memo slots unanswered, so
+  // the table cannot be reduced to a trustworthy verdict.
+  if (abandoned) return cancelled_report();
   fill_stats(stats, plan, table, counters, n_threads, arena_peak);
   return reduce_full(plan, table, memo, model);
 }
@@ -1183,104 +1114,17 @@ FeasibilityReport verify_schedule(const StaticSchedule& sched, const GraphModel&
   const VerifyPlan plan = build_verify_plan(sched, model);
   std::size_t n_threads = options.n_threads;
   if (n_threads == 0) {
-    // Small-work cutoff: spawning workers pessimizes single-core hosts
-    // and sub-threshold plans (E16), so auto mode stays serial there.
+    // Small-work cutoff: fanning out a tiny plan costs more than it
+    // saves, as does any fan-out on a single-core host, so auto mode
+    // stays serial there.
     const std::size_t hw = util::resolve_threads(0);
     n_threads = (hw <= 1 || plan.work_units < serial_parallel_cutoff()) ? 1 : hw;
   }
-  if (n_threads <= 1) {
-    return verify_serial(sched, model, plan, options.stats, options.cancel,
-                         options.progress);
-  }
-  return verify_parallel(sched, model, plan, n_threads, options.stats,
-                         options.cancel, options.progress);
+  return verify_indexed(sched, model, plan, n_threads, options.stats, options.cancel,
+                        options.progress);
 }
 
-namespace {
-
-// The calibration probe behind serial_parallel_cutoff(): measures the
-// serial/parallel crossover directly, uncached.
-std::size_t calibrate_serial_cutoff() {
-  using clock = std::chrono::steady_clock;
-  const auto ns_since = [](clock::time_point t0) {
-    return static_cast<double>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(clock::now() - t0)
-            .count());
-  };
-
-  // Canned plan: three unit-weight elements, two async single-op
-  // constraints plus one periodic, over a short handmade schedule —
-  // enough work units to time steadily, microseconds to run.
-  CommGraph comm;
-  for (int i = 0; i < 3; ++i) comm.add_element("cal" + std::to_string(i), 1);
-  GraphModel model(std::move(comm));
-  for (ElementId c = 0; c < 2; ++c) {
-    TaskGraph tg;
-    tg.add_op(c);
-    model.add_constraint(TimingConstraint{"cal_a" + std::to_string(c), std::move(tg), 4,
-                                          16, ConstraintKind::kAsynchronous});
-  }
-  {
-    TaskGraph tg;
-    tg.add_op(2);
-    model.add_constraint(
-        TimingConstraint{"cal_p", std::move(tg), 6, 12, ConstraintKind::kPeriodic});
-  }
-  StaticSchedule sched;
-  for (int r = 0; r < 4; ++r) {
-    sched.push_execution(0, 1);
-    sched.push_execution(1, 1);
-    sched.push_execution(2, 1);
-    sched.push_idle(1);
-  }
-
-  // Per-unit serial cost. n_threads is pinned to 1 — the probe must not
-  // consult the cutoff it is computing.
-  VerifyStats stats;
-  VerifyOptions options;
-  options.n_threads = 1;
-  options.stats = &stats;
-  (void)verify_schedule(sched, model, options);  // warm-up
-  constexpr int kVerifyReps = 24;
-  std::size_t units = 0;
-  const auto t0 = clock::now();
-  for (int i = 0; i < kVerifyReps; ++i) {
-    (void)verify_schedule(sched, model, options);
-    units += stats.work_units;
-  }
-  const double unit_ns = std::max(1.0, ns_since(t0) / static_cast<double>(
-                                                          units == 0 ? 1 : units));
-
-  // Pool spawn + teardown cost, the overhead the parallel path must
-  // amortize.
-  constexpr int kPoolReps = 4;
-  const auto t1 = clock::now();
-  for (int i = 0; i < kPoolReps; ++i) {
-    util::ThreadPool pool;
-    pool.wait_idle();
-  }
-  const double pool_ns = ns_since(t1) / kPoolReps;
-
-  // Go parallel once the serial work would cost at least twice the pool
-  // setup. Clamped: never below 64 units, never so high that genuinely
-  // heavy plans stay serial.
-  const double crossover = 2.0 * pool_ns / unit_ns;
-  const double clamped = std::clamp(crossover, 64.0, 65536.0);
-  return static_cast<std::size_t>(clamped);
-}
-
-}  // namespace
-
-std::size_t serial_parallel_cutoff() {
-  static const std::size_t cached = [] {
-    if (const char* env = std::getenv("RTG_SERIAL_CUTOFF")) {
-      const long v = std::atol(env);
-      if (v > 0) return static_cast<std::size_t>(v);
-    }
-    return calibrate_serial_cutoff();
-  }();
-  return cached;
-}
+std::size_t serial_parallel_cutoff() { return 4096; }
 
 // ---------------------------------------------------------------------------
 // IncrementalVerifier

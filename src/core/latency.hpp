@@ -31,11 +31,8 @@
 namespace rtg::core {
 
 /// Work-unit count below which auto-mode (n_threads == 0) verification
-/// stays serial. Resolution order, cached per process on first use:
-/// the RTG_SERIAL_CUTOFF environment variable if set; otherwise a
-/// one-shot calibration that measures the per-unit cost of a canned
-/// serial verify against the cost of spawning a thread pool and picks
-/// the crossover. See docs/PERF.md.
+/// stays serial: a fixed 4096, so whether a plan goes parallel depends
+/// only on the plan. See docs/PERF.md.
 [[nodiscard]] std::size_t serial_parallel_cutoff();
 
 /// Earliest finish time over all embeddings of `tg` into `ops` whose
@@ -357,7 +354,7 @@ struct VerifyStats {
   std::size_t bitset_skips = 0;
   /// High-water mark of live scratch-arena bytes, maxed across workers.
   std::size_t arena_bytes_peak = 0;
-  /// Worker threads the engine actually ran with (1 = serial path,
+  /// Thread count the query table was partitioned for (1 = serial path,
   /// including the auto mode's small-work / single-core fallback).
   std::size_t threads_used = 0;
 
@@ -376,11 +373,13 @@ struct VerifyStats {
 };
 
 struct VerifyOptions {
-  /// Worker threads for the per-constraint x per-window fan-out.
-  /// 0 = auto: hardware concurrency, except that single-core hosts and
-  /// plans below serial_parallel_cutoff() fall back to the serial path
-  /// (spawning workers would only add overhead — see E16/E17).
-  /// 1 = serial; >= 2 = always the parallel engine.
+  /// Threads for the per-constraint x per-window fan-out. The query
+  /// table is cut into 4 * n_threads contiguous parts that run on the
+  /// process-wide compute pool (util::parallel_for), at most
+  /// util::resolve_threads(n_threads) at a time, the caller included.
+  /// 0 = auto: the hardware concurrency, except that single-core hosts
+  /// and plans below serial_parallel_cutoff() work units run as one
+  /// serial part. 1 = one serial part on the calling thread.
   std::size_t n_threads = 0;
   /// Optional engine counters.
   VerifyStats* stats = nullptr;

@@ -209,7 +209,13 @@ OverrunRunResult run_with_overruns(const StaticSchedule& sched, const GraphModel
                                    const OverrunModel& overruns,
                                    sim::TraceSink* trace_sink, const FaultPlan* faults) {
   check_run_inputs("run_with_overruns", sched, model, arrivals, horizon, faults);
-  const std::vector<ScheduledOp> nominal = unroll_for_horizon(sched, model, horizon);
+  std::vector<ScheduledOp> nominal = unroll_for_horizon(sched, model, horizon);
+  // Only dispatches whose table slot starts before the horizon count,
+  // as in run_executive_with_faults. Unrolled ops are sorted by start
+  // and overruns are drawn in op order, so dropping the later ones
+  // changes neither which of the kept ops overrun nor how far they
+  // slide.
+  nominal.resize(dispatches_before(nominal, horizon));
 
   OverrunRunResult result;
   result.total_ops = nominal.size();

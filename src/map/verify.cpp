@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <set>
-#include <thread>
 
 #include "core/latency.hpp"
 #include "rt/task.hpp"  // lcm_checked
+#include "util/thread_pool.hpp"
 
 namespace rtg::map {
 
@@ -209,21 +209,12 @@ std::optional<Time> distributed_latency(const TaskGraph& tg,
       std::min(std::max<std::size_t>(options.n_threads, 1), candidates.size());
   std::atomic<bool> abort{false};
   std::vector<ChunkResult> results(threads);
-  if (threads <= 1) {
-    run_chunk(world, candidates, 0, candidates.size(), options, abort, results[0]);
-  } else {
-    std::vector<std::thread> workers;
-    workers.reserve(threads);
-    const std::size_t per = (candidates.size() + threads - 1) / threads;
-    for (std::size_t w = 0; w < threads; ++w) {
-      const std::size_t begin = w * per;
-      const std::size_t end = std::min(begin + per, candidates.size());
-      workers.emplace_back([&, w, begin, end] {
-        run_chunk(world, candidates, begin, end, options, abort, results[w]);
-      });
-    }
-    for (std::thread& worker : workers) worker.join();
-  }
+  const std::size_t per = (candidates.size() + threads - 1) / threads;
+  util::parallel_for(threads, util::resolve_threads(threads), [&](std::size_t w) {
+    const std::size_t begin = std::min(w * per, candidates.size());
+    const std::size_t end = std::min(begin + per, candidates.size());
+    run_chunk(world, candidates, begin, end, options, abort, results[w]);
+  });
 
   bool failed = false;
   bool any = false;

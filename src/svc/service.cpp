@@ -100,9 +100,9 @@ VerifyService::VerifyService(ServiceOptions options)
   for (std::size_t i = 0; i < options_.workers; ++i) {
     workers_.push_back(std::make_unique<WorkerState>(options_.ring_capacity));
   }
-  pool_ = std::make_unique<util::ThreadPool>(options_.workers);
+  worker_threads_.reserve(options_.workers);
   for (std::size_t i = 0; i < options_.workers; ++i) {
-    pool_->submit([this, i] { worker_loop(i); });
+    worker_threads_.emplace_back([this, i] { worker_loop(i); });
   }
   dispatcher_ = std::thread([this] { dispatcher_loop(); });
   supervisor_ = std::thread([this] { supervisor_loop(); });
@@ -800,7 +800,7 @@ void VerifyService::shutdown() {
   for (const auto& ws : workers_) ws->cv.notify_all();
   if (dispatcher_.joinable()) dispatcher_.join();
   if (supervisor_.joinable()) supervisor_.join();
-  pool_.reset();  // waits for the resident worker tasks to return
+  for (std::thread& t : worker_threads_) t.join();
 
   // Belt and braces: the accepting_ re-check under staging_mutex_ in
   // submit() means nothing should remain staged past drain(), but any

@@ -16,7 +16,7 @@
 //      backoff policy shared with rt/recovery.
 //   3. Worker watchdog + graceful degradation: jobs flow
 //      submit -> staging deque -> dispatcher thread -> per-worker
-//      SpscRing -> resident worker tasks on a util::ThreadPool. The
+//      SpscRing -> one resident worker thread per ring. The
 //      supervisor watches per-worker heartbeats *and* the progress
 //      beacons the engines bump at every cancellation poll, so a slow
 //      exact search is never mistaken for a wedged worker. A worker
@@ -57,12 +57,11 @@
 #include "svc/job.hpp"
 #include "svc/result_cache.hpp"
 #include "util/spsc_ring.hpp"
-#include "util/thread_pool.hpp"
 
 namespace rtg::svc {
 
 struct ServiceOptions {
-  /// Resident worker tasks (and util::ThreadPool threads).
+  /// Resident worker threads, one per SpscRing feed.
   std::size_t workers = 2;
   /// Capacity of each worker's SpscRing feed.
   std::size_t ring_capacity = 16;
@@ -227,7 +226,7 @@ class VerifyService {
   std::atomic<int> mode_{0};
 
   std::vector<std::unique_ptr<WorkerState>> workers_;
-  std::unique_ptr<util::ThreadPool> pool_;
+  std::vector<std::thread> worker_threads_;
   std::thread dispatcher_;
   std::thread supervisor_;
 

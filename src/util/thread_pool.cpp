@@ -2,51 +2,54 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
+#include <exception>
+#include <memory>
 #include <utility>
 
 namespace rtg::util {
 
 namespace {
 
-// A failed deque scan while queued_ > 0 means another thread claimed
-// the task between our scan and the counter check. Re-scanning is right
-// a few times (the claimant decrements imminently), but an unbounded
-// re-scan loop becomes a busy spin that starves the very workers
-// holding the tasks — on a single-core host this collapsed n_threads
-// >= 2 verification to ~0.01x serial (E16). After this many misses the
-// thread blocks on its condition variable with a timeout instead.
-constexpr std::size_t kMaxSpinMisses = 8;
-constexpr std::chrono::microseconds kBlockedPoll(100);
+// The process-wide compute pool behind parallel_for, built on first use.
+ThreadPool& compute_pool() {
+  static ThreadPool pool(resolve_threads(0));
+  return pool;
+}
 
-// Which worker (if any) the current thread is; lets submit() route
-// nested submissions to the submitter's own deque.
-thread_local const ThreadPool* tls_pool = nullptr;
-thread_local std::size_t tls_worker_id = 0;
+// One parallel_for call. Helpers hold it by shared_ptr: a helper that
+// starts after the caller has returned finds no index left and touches
+// nothing but this state.
+struct ForState {
+  ForState(std::size_t count, const std::function<void(std::size_t)>& body)
+      : n(count), fn(body) {}
 
-// Decrements in_flight_ (and wakes wait_idle) even when the task body
-// throws. Without this a throwing task would leave in_flight_ stuck
-// above zero and every later wait_idle() — including the one the
-// destructor runs — would block forever.
-class InFlightGuard {
- public:
-  InFlightGuard(std::mutex& m, std::size_t& in_flight, std::condition_variable& cv)
-      : mutex_(m), in_flight_(in_flight), idle_cv_(cv) {}
-  InFlightGuard(const InFlightGuard&) = delete;
-  InFlightGuard& operator=(const InFlightGuard&) = delete;
-  ~InFlightGuard() {
-    bool idle;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      idle = --in_flight_ == 0;
+  const std::size_t n;
+  const std::function<void(std::size_t)>& fn;  // only called on a claimed index
+  std::atomic<std::size_t> next{0};
+  std::atomic<std::size_t> done{0};
+  std::atomic<bool> failed{false};
+  std::mutex mutex;  // guards error; pairs with cv for the caller's wait
+  std::condition_variable cv;
+  std::exception_ptr error;
+
+  // Claims and runs indices until none is left.
+  void drain() {
+    for (std::size_t i = next++; i < n; i = next++) {
+      if (!failed) {
+        try {
+          fn(i);
+        } catch (...) {
+          std::lock_guard<std::mutex> lock(mutex);
+          if (!error) error = std::current_exception();
+          failed = true;
+        }
+      }
+      if (++done == n) {
+        std::lock_guard<std::mutex> lock(mutex);
+        cv.notify_all();
+      }
     }
-    if (idle) idle_cv_.notify_all();
   }
-
- private:
-  std::mutex& mutex_;
-  std::size_t& in_flight_;
-  std::condition_variable& idle_cv_;
 };
 
 }  // namespace
@@ -59,33 +62,18 @@ std::size_t resolve_threads(std::size_t n_threads) {
 }
 
 ThreadPool::ThreadPool(std::size_t n_threads) {
-  // An explicit count is honored as given — users like the service
-  // layer park *resident* tasks, one per worker, and need exactly that
-  // many threads. Oversubscribed workers are harmless since the wait
-  // path blocks (bounded spin) instead of spinning; engines that want
-  // the clamped count for sizing decisions call resolve_threads().
   const std::size_t n = n_threads == 0 ? resolve_threads(0) : n_threads;
-  workers_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    workers_.push_back(std::make_unique<Worker>());
-  }
   threads_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    threads_.emplace_back([this, i] { worker_loop(i); });
+    threads_.emplace_back([this] { worker_loop(); });
   }
 }
 
 ThreadPool::~ThreadPool() {
-  // Shutdown order matters: drain FIRST, then stop. wait_idle() returns
-  // only once queued_ == 0 and in_flight_ == 0, so by the time
-  // stopping_ is set no queued-but-unstarted work can exist — a worker
-  // observing (stopping_ && queued_ == 0) and exiting can never strand
-  // a task in a deque. Setting stopping_ under signal_mutex_ before
-  // notify_all pairs with the workers' wait() predicate reading it
-  // under the same mutex, so no worker can miss the wakeup.
-  wait_idle();
+  // Workers leave only once stopping_ is set *and* the queue is empty,
+  // so every task queued before or during shutdown still runs.
   {
-    std::lock_guard<std::mutex> lock(signal_mutex_);
+    std::lock_guard<std::mutex> lock(mutex_);
     stopping_ = true;
   }
   work_cv_.notify_all();
@@ -93,142 +81,55 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::submit(std::function<void()> task) {
-  std::size_t target;
-  if (tls_pool == this) {
-    target = tls_worker_id;
-  } else {
-    std::lock_guard<std::mutex> lock(signal_mutex_);
-    target = next_victim_++ % workers_.size();
-  }
-  // in_flight_ goes up before the task becomes stealable (wait_idle
-  // must not observe idle while the push is pending), but queued_ goes
-  // up only *after* the push: queued_ > 0 then guarantees a deque scan
-  // finds a task, so woken threads cannot spin on a counted-but-
-  // unpushed task. The price is a transient negative queued_ when the
-  // taker's decrement lands first — hence the signed type.
   {
-    std::lock_guard<std::mutex> lock(signal_mutex_);
+    std::lock_guard<std::mutex> lock(mutex_);
+    queue_.push_back(std::move(task));
     ++in_flight_;
   }
-  {
-    std::lock_guard<std::mutex> lock(workers_[target]->mutex);
-    workers_[target]->deque.push_back(std::move(task));
-  }
-  {
-    std::lock_guard<std::mutex> lock(signal_mutex_);
-    ++queued_;
-  }
   work_cv_.notify_one();
-  idle_cv_.notify_all();  // a thread helping in wait_idle can take this task
 }
 
-std::function<void()> ThreadPool::take_task(std::size_t id) {
-  // Own deque first, newest task (LIFO).
-  {
-    Worker& own = *workers_[id];
-    std::lock_guard<std::mutex> lock(own.mutex);
-    if (!own.deque.empty()) {
-      auto task = std::move(own.deque.back());
-      own.deque.pop_back();
-      return task;
-    }
-  }
-  // Steal the oldest task from the first non-empty victim.
-  for (std::size_t k = 1; k < workers_.size(); ++k) {
-    Worker& victim = *workers_[(id + k) % workers_.size()];
-    std::lock_guard<std::mutex> lock(victim.mutex);
-    if (!victim.deque.empty()) {
-      auto task = std::move(victim.deque.front());
-      victim.deque.pop_front();
-      return task;
-    }
-  }
-  return {};
-}
-
-void ThreadPool::worker_loop(std::size_t id) {
-  tls_pool = this;
-  tls_worker_id = id;
-  std::size_t misses = 0;
+void ThreadPool::worker_loop() {
   for (;;) {
-    std::function<void()> task = take_task(id);
-    if (!task) {
-      std::unique_lock<std::mutex> lock(signal_mutex_);
-      if (stopping_ && queued_ <= 0) return;
-      if (queued_ > 0 && ++misses <= kMaxSpinMisses) {
-        continue;  // claimed under us — bounded re-scan
-      }
-      if (misses > kMaxSpinMisses) {
-        // Spin budget exhausted: yield the core to whoever holds the
-        // work, re-checking at a coarse poll interval.
-        work_cv_.wait_for(lock, kBlockedPoll, [this] { return stopping_; });
-      } else {
-        work_cv_.wait(lock, [this] { return stopping_ || queued_ > 0; });
-      }
-      misses = 0;
-      if (stopping_ && queued_ <= 0) return;
-      continue;  // re-race for the task
-    }
-    misses = 0;
+    std::function<void()> task;
     {
-      std::lock_guard<std::mutex> lock(signal_mutex_);
-      --queued_;
+      std::unique_lock<std::mutex> lock(mutex_);
+      work_cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
+      if (queue_.empty()) return;  // stopping, and nothing left to run
+      task = std::move(queue_.front());
+      queue_.pop_front();
     }
-    InFlightGuard guard(signal_mutex_, in_flight_, idle_cv_);
     task();
+    bool idle;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      idle = --in_flight_ == 0;
+    }
+    if (idle) idle_cv_.notify_all();
   }
 }
 
 void ThreadPool::wait_idle() {
-  // The waiting thread helps drain the queue instead of sleeping: with
-  // fewer hardware threads than pool threads (or a loaded machine) this
-  // keeps throughput at least near the serial path's.
-  std::size_t misses = 0;
-  for (;;) {
-    std::function<void()> task = take_task(0);
-    if (task) {
-      misses = 0;
-      {
-        std::lock_guard<std::mutex> lock(signal_mutex_);
-        --queued_;
-      }
-      InFlightGuard guard(signal_mutex_, in_flight_, idle_cv_);
-      task();
-      continue;
-    }
-    std::unique_lock<std::mutex> lock(signal_mutex_);
-    if (in_flight_ == 0) return;
-    if (queued_ > 0) {
-      // Claimed under us — re-scan a bounded number of times, then
-      // block with a timeout instead of spinning against the claimant.
-      if (++misses <= kMaxSpinMisses) continue;
-      idle_cv_.wait_for(lock, kBlockedPoll, [this] { return in_flight_ == 0; });
-      misses = 0;
-      if (in_flight_ == 0) return;
-      continue;
-    }
-    idle_cv_.wait(lock, [this] { return in_flight_ == 0 || queued_ > 0; });
-    misses = 0;
-    if (in_flight_ == 0) return;
-  }
+  std::unique_lock<std::mutex> lock(mutex_);
+  idle_cv_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
-void parallel_for(ThreadPool& pool, std::size_t n,
+void parallel_for(std::size_t n, std::size_t width,
                   const std::function<void(std::size_t)>& fn) {
-  if (n == 0) return;
-  const std::size_t chunks = std::min(n, 4 * pool.size());
-  const std::size_t base = n / chunks;
-  const std::size_t extra = n % chunks;
-  std::size_t begin = 0;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t len = base + (c < extra ? 1 : 0);
-    const std::size_t end = begin + len;
-    pool.submit([&fn, begin, end] {
-      for (std::size_t i = begin; i < end; ++i) fn(i);
-    });
-    begin = end;
+  if (width <= 1 || n <= 1) {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+    return;
   }
-  pool.wait_idle();
+  ThreadPool& pool = compute_pool();
+  const auto state = std::make_shared<ForState>(n, fn);
+  const std::size_t helpers = std::min({width, n, pool.size() + 1}) - 1;
+  for (std::size_t h = 0; h < helpers; ++h) {
+    pool.submit([state] { state->drain(); });
+  }
+  state->drain();
+  std::unique_lock<std::mutex> lock(state->mutex);
+  state->cv.wait(lock, [&state] { return state->done == state->n; });
+  if (state->error) std::rethrow_exception(state->error);
 }
 
 }  // namespace rtg::util

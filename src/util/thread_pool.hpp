@@ -1,20 +1,17 @@
-// thread_pool.hpp — work-stealing thread pool for the parallel
-// verification and feasibility engines.
+// thread_pool.hpp — a plain FIFO thread pool and the process-wide
+// compute fan-out built on it.
 //
-// Each worker owns a deque guarded by its own mutex: the owner pushes
-// and pops at the back (LIFO, cache-friendly for recursive splits) and
-// idle workers steal from the front of a victim's deque (FIFO, taking
-// the oldest — typically largest — task). A pool is cheap enough to
-// construct per top-level query, which keeps the engines free of global
-// mutable state and makes every run independently schedulable under
-// ThreadSanitizer.
+// ThreadPool is one mutex-guarded queue drained by a fixed set of
+// workers. parallel_for is the engines' only way to go parallel: it
+// runs on one lazily built pool shared by the whole process (sized to
+// the hardware concurrency), so a parallel verification or seam check
+// costs a few queue pushes instead of a thread spawn and join.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -25,62 +22,56 @@ namespace rtg::util {
 /// *compute* threads at: 0 means "auto" (the hardware concurrency, at
 /// least 1); any other value is clamped to the hardware concurrency —
 /// workers beyond the physical cores cannot run in parallel, they only
-/// preempt the ones that do (the E16 `n_threads >= 2` collapse on a
-/// single-core host). Engines partition and report by the *requested*
-/// count (results and stats stay a function of the knob, not the
-/// machine) and consult this only to size or skip the pool. The
-/// ThreadPool constructor deliberately does NOT clamp an explicit
-/// count: resident-task users (the service layer) need one thread per
-/// parked task regardless of core count.
+/// preempt the ones that do. Engines partition and report by the
+/// *requested* count (results and stats stay a function of the knob,
+/// not the machine) and pass this as parallel_for's width.
 [[nodiscard]] std::size_t resolve_threads(std::size_t n_threads);
 
 class ThreadPool {
  public:
-  /// Spawns `n_threads` workers (0 = hardware concurrency).
+  /// Spawns `n_threads` workers (0 = hardware concurrency). An explicit
+  /// count is honoured as given, even past the core count.
   explicit ThreadPool(std::size_t n_threads = 0);
+  /// Runs every task still queued, then joins the workers.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  [[nodiscard]] std::size_t size() const { return workers_.size(); }
+  [[nodiscard]] std::size_t size() const { return threads_.size(); }
 
-  /// Enqueues a task. Tasks submitted from a worker thread go to that
-  /// worker's own deque; external submissions are dealt round-robin.
+  /// Appends a task to the queue; tasks start in submission order. A
+  /// task must not throw: as with std::thread, an exception escaping it
+  /// ends the program.
   void submit(std::function<void()> task);
 
   /// Blocks until every submitted task has finished running. Tasks may
-  /// submit further tasks; wait_idle() covers those too.
+  /// submit further tasks; wait_idle() covers those too. Must not be
+  /// called from inside a task of the same pool.
   void wait_idle();
 
  private:
-  struct Worker {
-    std::mutex mutex;
-    std::deque<std::function<void()>> deque;
-  };
+  void worker_loop();
 
-  void worker_loop(std::size_t id);
-  [[nodiscard]] std::function<void()> take_task(std::size_t id);
-
-  std::vector<std::unique_ptr<Worker>> workers_;
-  std::vector<std::thread> threads_;
-
-  std::mutex signal_mutex_;  // guards queued_, in_flight_, stopping_
+  std::mutex mutex_;  // guards queue_, in_flight_, stopping_
   std::condition_variable work_cv_;
   std::condition_variable idle_cv_;
-  // Tasks sitting in some deque. Signed: a task is pushed *before* it
-  // is counted (so queued_ > 0 implies it is findable by a deque scan),
-  // which lets a racing taker decrement transiently past zero.
-  std::ptrdiff_t queued_ = 0;
+  std::deque<std::function<void()>> queue_;
   std::size_t in_flight_ = 0;  // tasks queued or currently running
   bool stopping_ = false;
-  std::size_t next_victim_ = 0;  // round-robin external submission cursor
+  std::vector<std::thread> threads_;  // last: the workers use every member above
 };
 
-/// Runs fn(i) for every i in [0, n) across the pool and blocks until
-/// all calls return. Indices are dealt into roughly 4 * pool.size()
-/// contiguous chunks so stealing can rebalance uneven work.
-void parallel_for(ThreadPool& pool, std::size_t n,
+/// Runs fn(i) for every i in [0, n) and blocks until all n calls have
+/// returned. At most `width` threads run them: the calling thread plus
+/// up to width - 1 workers of the process-wide pool, all claiming
+/// indices from one shared counter. The caller waits only for its own
+/// n calls, so concurrent and nested calls are safe — a nested call
+/// whose helpers are stuck behind busy workers simply runs its indices
+/// itself. With width <= 1 or n <= 1 the calls run inline, in order.
+/// If some call throws, the remaining indices are skipped and the first
+/// exception is rethrown once every started call has returned.
+void parallel_for(std::size_t n, std::size_t width,
                   const std::function<void(std::size_t)>& fn);
 
 }  // namespace rtg::util

@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -25,6 +26,7 @@
 #include "core/static_schedule.hpp"
 #include "graph/generators.hpp"
 #include "sim/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace rtg::core {
 namespace {
@@ -448,6 +450,34 @@ TEST(VerifyCutoff, AutoFallsBackToSerialOnSmallPlans) {
       verify_schedule(sched, model, VerifyOptions{.n_threads = 4, .stats = &stats});
   EXPECT_EQ(stats.threads_used, 4u);
   EXPECT_EQ(forced, auto_report);
+}
+
+// The cutoff is a constant, so the path a plan takes depends on the
+// plan alone. RTG_SERIAL_CUTOFF, the override of the former timing
+// calibration, must have no effect.
+TEST(VerifyCutoff, FixedCutoffDecidesThePath) {
+  ASSERT_EQ(setenv("RTG_SERIAL_CUTOFF", "7", 1), 0);
+  EXPECT_EQ(serial_parallel_cutoff(), 4096u);
+
+  // One async single-op constraint over n unit executions has exactly n
+  // work units: window offset 0 plus every start + 1 inside the period.
+  const auto auto_threads = [](std::size_t units) {
+    CommGraph comm;
+    comm.add_element("a", 1);
+    GraphModel model(std::move(comm));
+    TaskGraph tg;
+    tg.add_op(0);
+    model.add_constraint(
+        TimingConstraint{"c0", std::move(tg), 1, 4, ConstraintKind::kAsynchronous});
+    StaticSchedule sched;
+    for (std::size_t i = 0; i < units; ++i) sched.push_execution(0, 1);
+    VerifyStats stats;
+    (void)verify_schedule(sched, model, VerifyOptions{.n_threads = 0, .stats = &stats});
+    EXPECT_EQ(stats.work_units, units);
+    return stats.threads_used;
+  };
+  EXPECT_EQ(auto_threads(4095), 1u);
+  EXPECT_EQ(auto_threads(4096), util::resolve_threads(0));
 }
 
 TEST(VerifyCounters, SerialEngineReportsKernelActivity) {

@@ -425,6 +425,25 @@ TEST(FaultInjection, RunWithOverrunsAcceptsAPlan) {
   EXPECT_LT(faulted.satisfied, clean.satisfied);
 }
 
+TEST(FaultInjection, RunWithOverrunsCountsOnlyOpsBeforeTheHorizon) {
+  // "a b . a . . . ." dispatches at 8k, 8k+1 and 8k+3: 22 ops start
+  // before slot 57 and 23 before slot 58. The overrun run must count
+  // them as the fault run does, not the whole unrolled budget.
+  const GraphModel model = two_constraint_model();
+  const StaticSchedule sched = two_constraint_schedule();
+  OverrunModel every;
+  every.probability = 1.0;  // every op overruns, so overrun_ops counts them too
+  for (const auto& [horizon, want] : {std::pair<Time, std::size_t>{57, 22}, {58, 23}}) {
+    const ConstraintArrivals arrivals = arrivals_z(horizon);
+    const FaultRunResult faulted =
+        run_executive_with_faults(sched, model, arrivals, horizon, FaultPlan{});
+    EXPECT_EQ(faulted.total_ops, want) << "horizon " << horizon;
+    const OverrunRunResult overrun = run_with_overruns(sched, model, arrivals, horizon, every);
+    EXPECT_EQ(overrun.total_ops, want) << "horizon " << horizon;
+    EXPECT_EQ(overrun.overrun_ops, want) << "horizon " << horizon;
+  }
+}
+
 TEST(FaultInjection, AdaptiveExecutiveRecordsFaultEvents) {
   const GraphModel model = two_constraint_model();
   const ModeLadder ladder = build_mode_ladder(model);

@@ -361,7 +361,7 @@ TEST(HotPathOversubscription, EightThreadVerifyStaysNearSerial) {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
         .count();
   };
-  (void)run(1);  // warm caches and the cutoff calibration
+  (void)run(1);  // warm caches
   const double serial = run(1);
   const double oversubscribed = run(8);
   // Loose 2x bound per the issue: sanitizer and scheduler noise is

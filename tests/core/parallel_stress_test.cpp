@@ -2,15 +2,20 @@
 // run it many times on one model and assert every run returns the
 // identical report, even though thread scheduling differs run to run.
 // Built under ThreadSanitizer in CI, this also shakes out data races in
-// the pool and the memo table.
+// the shared compute pool and the memo table.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
+#include <thread>
+#include <utility>
 #include <vector>
 
+#include "core/heuristic.hpp"
 #include "core/latency.hpp"
 #include "core/model.hpp"
 #include "core/static_schedule.hpp"
+#include "gen/generator.hpp"
 #include "sim/rng.hpp"
 #include "util/partition.hpp"
 #include "util/thread_pool.hpp"
@@ -101,6 +106,55 @@ TEST(ParallelStress, ThreadPoolDrainsNestedSubmissions) {
     pool.wait_idle();
   }
   EXPECT_EQ(counter.load(), 10 * 64 * 2);
+}
+
+// A parallel_for body that itself verifies in parallel: the inner
+// calls share the pool with the outer one, so their helpers may queue
+// behind busy workers. Each inner caller must still finish (running its
+// parts itself if need be) with the serial report.
+TEST(ParallelStress, NestedFanOutTerminates) {
+  const GraphModel model = stress_model();
+  const StaticSchedule sched = stress_schedule(model);
+  const FeasibilityReport serial =
+      verify_schedule(sched, model, VerifyOptions{.n_threads = 1});
+  std::vector<FeasibilityReport> nested(16);
+  util::parallel_for(nested.size(), 4, [&](std::size_t i) {
+    nested[i] = verify_schedule(sched, model, VerifyOptions{.n_threads = 4});
+  });
+  for (std::size_t i = 0; i < nested.size(); ++i) {
+    EXPECT_EQ(nested[i], serial) << "outer index " << i;
+  }
+}
+
+// Four threads verify four different models at n_threads = 4 at the
+// same time, all on the one shared pool: each must get its own serial
+// report, never a part of another caller's.
+TEST(ParallelStress, ConcurrentCallersGetTheirOwnReports) {
+  std::vector<std::pair<GraphModel, StaticSchedule>> cases;
+  for (std::uint64_t index = 0; cases.size() < 4; ++index) {
+    const gen::Scenario scenario = gen::generate(gen::corpus_options(index));
+    const HeuristicResult built = latency_schedule(scenario.model);
+    if (built.success) cases.emplace_back(built.scheduled_model, *built.schedule);
+  }
+  std::vector<FeasibilityReport> serial;
+  for (const auto& [model, sched] : cases) {
+    serial.push_back(verify_schedule(sched, model, VerifyOptions{.n_threads = 1}));
+  }
+  std::vector<std::atomic<int>> mismatches(cases.size());
+  std::vector<std::thread> callers;
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    callers.emplace_back([&, c] {
+      for (int rep = 0; rep < 20; ++rep) {
+        const FeasibilityReport got =
+            verify_schedule(cases[c].second, cases[c].first, VerifyOptions{.n_threads = 4});
+        if (!(got == serial[c])) mismatches[c].fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    EXPECT_EQ(mismatches[c].load(), 0) << "caller " << c;
+  }
 }
 
 // The seeded partitioner is deterministic, a true partition, and

@@ -1,7 +1,8 @@
-// Shutdown ordering and drain semantics of the work-stealing pool.
-// These run under TSan in CI: the destructor's join-before-drain
-// ordering and wait_idle's help-path accounting are exactly the kind of
-// races that only a sanitized regression test keeps fixed.
+// Shutdown ordering and drain semantics of the FIFO pool, and the
+// shared-pool parallel_for. These run under TSan in CI: the destructor's
+// drain-before-stop ordering and the in-flight accounting behind
+// wait_idle are exactly the kind of races that only a sanitized
+// regression test keeps fixed.
 #include "util/thread_pool.hpp"
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -19,7 +21,7 @@ namespace {
 TEST(ThreadPool, DestructorRunsEverySubmittedTask) {
   // Destroy the pool while tasks are still queued/running; the
   // drain-then-stop shutdown order must run all of them, not strand
-  // any in a deque.
+  // any in the queue.
   std::atomic<int> ran{0};
   {
     ThreadPool pool(4);
@@ -61,9 +63,8 @@ TEST(ThreadPool, RepeatedWaitIdleIsIdempotent) {
 }
 
 TEST(ThreadPool, ManyShortLivedPoolsShutDownCleanly) {
-  // The service constructs a pool per server; engines construct one per
-  // query. Rapid construct/submit/destroy cycles must not race the
-  // worker startup path.
+  // Rapid construct/submit/destroy cycles must not race the worker
+  // startup path.
   std::atomic<int> ran{0};
   for (int round = 0; round < 50; ++round) {
     ThreadPool pool(3);
@@ -87,9 +88,9 @@ TEST(ResolveThreads, ClampsToHardwareConcurrency) {
 }
 
 TEST(ThreadPool, ConstructorHonorsExplicitOversubscribedCount) {
-  // The service layer parks one resident (blocking) task per worker, so
-  // an explicit count must produce exactly that many threads even past
-  // the core count — clamping here deadlocks resident-task users.
+  // A caller that parks one resident (blocking) task per worker needs
+  // an explicit count to produce exactly that many threads even past
+  // the core count — clamping here would deadlock it.
   ThreadPool pool(8);
   EXPECT_EQ(pool.size(), 8u);
   std::atomic<int> parked{0};
@@ -131,13 +132,26 @@ TEST(ThreadPool, OversubscribedPoolDrainsPromptly) {
 }
 
 TEST(ThreadPool, ParallelForVisitsEachIndexOnce) {
-  ThreadPool pool(4);
   std::vector<std::atomic<int>> visits(1000);
-  parallel_for(pool, visits.size(),
+  parallel_for(visits.size(), 4,
                [&visits](std::size_t i) { visits[i].fetch_add(1); });
   for (std::size_t i = 0; i < visits.size(); ++i) {
     ASSERT_EQ(visits[i].load(), 1) << "index " << i;
   }
+}
+
+TEST(ThreadPool, ParallelForRethrowsAfterEveryStartedCallReturns) {
+  std::atomic<int> running{0};
+  EXPECT_THROW(parallel_for(64, 4,
+                            [&](std::size_t i) {
+                              running.fetch_add(1);
+                              std::this_thread::sleep_for(std::chrono::microseconds(200));
+                              running.fetch_sub(1);
+                              if (i == 3) throw std::runtime_error("boom");
+                            }),
+               std::runtime_error);
+  // No call may still be running once parallel_for has rethrown.
+  EXPECT_EQ(running.load(), 0);
 }
 
 }  // namespace
