@@ -163,6 +163,7 @@ int main() {
   std::fprintf(out, "{\n  \"experiment\": \"E16_parallel_scaling\",\n");
   std::fprintf(out, "  \"hardware_concurrency\": %zu,\n", hw);
   std::fprintf(out, "  \"build_type\": \"%s\",\n", RTG_BUILD_TYPE);
+  std::fprintf(out, "  \"git_sha\": \"%s\",\n", RTG_GIT_SHA);
   std::fprintf(out, "  \"rounds\": %zu,\n", kRounds);
   if (hw == 1) {
     // Make single-core results self-documenting: compute workers are

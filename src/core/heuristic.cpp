@@ -178,8 +178,12 @@ HeuristicResult latency_schedule(const GraphModel& model, const HeuristicOptions
       }
     }
     if (pick == nullptr) {
-      sched.push_idle(1);
-      t += 1;
+      // Nothing runs until the next release (or the cycle end): idle up
+      // to it in one step.
+      Time next = hyper;
+      for (const Server& s : servers) next = std::min(next, s.next_release);
+      sched.push_idle(next - t);
+      t = next;
       continue;
     }
     const auto [elem, weight] = pick->ops[pick->next_op];

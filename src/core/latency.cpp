@@ -557,6 +557,33 @@ namespace {
 // occurrences are exhausted), so 2|C| + 2 periods always suffice.
 std::size_t unroll_budget(const TaskGraph& tg) { return 2 * tg.size() + 2; }
 
+// Window starts at which completion(t) can change, one list per label
+// set: for a task graph over the elements of `label_sets[k]`,
+// completion(t), the earliest finish of an embedding starting at or
+// after t, depends only on which executions of those elements start at
+// or after t, so it is a step function that jumps only at t = s + 1 for
+// such a start s. Its maximum of completion(t) - t over one period is
+// therefore attained at 0 or at one of those points (FORMALISM §3).
+// Each list is ascending and unique, since `ops` are in start order
+// with distinct starts; all lists come from one pass over `ops`.
+std::vector<std::vector<Time>> jump_points(
+    std::span<const ScheduledOp> ops, Time period,
+    std::span<const std::span<const ElementId>> label_sets) {
+  std::vector<std::vector<std::size_t>> sets_of;  // element -> label sets holding it
+  for (std::size_t k = 0; k < label_sets.size(); ++k) {
+    for (const ElementId e : label_sets[k]) {
+      if (e >= sets_of.size()) sets_of.resize(e + 1);
+      if (sets_of[e].empty() || sets_of[e].back() != k) sets_of[e].push_back(k);
+    }
+  }
+  std::vector<std::vector<Time>> lists(label_sets.size(), std::vector<Time>{0});
+  for (const ScheduledOp& op : ops) {
+    if (op.start + 1 >= period || op.elem >= sets_of.size()) continue;
+    for (const std::size_t k : sets_of[op.elem]) lists[k].push_back(op.start + 1);
+  }
+  return lists;
+}
+
 // True iff every element of tg occurs at least once in the schedule.
 bool covers_elements(const StaticSchedule& sched, const TaskGraph& tg) {
   std::vector<bool> present;
@@ -580,19 +607,12 @@ std::optional<Time> schedule_latency(const StaticSchedule& sched, const TaskGrap
   const UnrollIndex index(sched, unroll_budget(tg));
   EmbeddingKernel kernel(tg, index);
 
-  // completion(t) = earliest finish of an embedding starting at or
-  // after t, is a non-decreasing step function of t that only jumps at
-  // t = op.start + 1 (when the op at `start` leaves the window). The
-  // maximum of completion(t) - t is therefore attained at t = 0 or at
-  // one of those jump points, and by cyclicity only t in [0, period)
-  // matters.
-  std::vector<Time> candidates{0};
-  for (const ScheduledOp& op : sched.ops()) {
-    if (op.start + 1 < period) candidates.push_back(op.start + 1);
-  }
-
+  // By cyclicity only window starts in [0, period) matter.
+  const std::span<const ElementId> labels = tg.labels();
+  const std::vector<Time> starts =
+      std::move(jump_points(sched.ops(), period, std::span(&labels, 1)).front());
   Time latency = 0;
-  for (Time t : candidates) {
+  for (Time t : starts) {
     const auto finish = kernel.finish_at(t);
     if (!finish) return std::nullopt;  // cannot happen if covers_elements
     latency = std::max(latency, *finish - t);
@@ -627,7 +647,9 @@ namespace {
 // Flat-scan reference verifier: the pre-index serial path, one
 // constraint at a time over materialized unroll_ops with linear element
 // scans, no memo. Kept (behind VerifyOptions::flat_reference) to pin
-// the legacy behavior for the differential suite.
+// the legacy behavior for the differential suite. It queries the full
+// jump set J (every execution start + 1), not the per-label-set
+// jump_points, so it independently checks that narrowing.
 std::optional<Time> schedule_latency_flat(const StaticSchedule& sched,
                                           const TaskGraph& tg) {
   if (tg.empty()) return 0;
@@ -708,8 +730,9 @@ std::string task_graph_fingerprint(const TaskGraph& tg) {
 // Plan of one constraint: either a fixed verdict (degenerate cases
 // answered without embedding queries) or a batch of independent
 // window-begin queries over a prefix of one shared unroll. The offset
-// list lives in the plan-wide pool (offsets_id) — every async
-// constraint shares one list, periodic constraints share per period.
+// list lives in the plan-wide pool (offsets_id) — async constraints
+// share one list per distinct label set, periodic constraints one per
+// period.
 struct ConstraintPlan {
   std::size_t tg_id = 0;
   std::size_t periods = 0;  // op-span prefix length, in periods
@@ -759,22 +782,19 @@ VerifyPlan build_verify_plan(const StaticSchedule& sched, const GraphModel& mode
     return true;
   };
 
-  // Offset-list pooling: the async list depends only on the schedule, a
-  // periodic list only on the period p — so each distinct list is built
-  // exactly once.
-  std::size_t async_id = static_cast<std::size_t>(-1);
+  // Offset-list pooling: an async list depends only on the schedule and
+  // the constraint's label set (its jump points), a periodic list only
+  // on the period p — so each distinct list is built exactly once. The
+  // async lists are filled after the loop, all in one pass over `ops`.
+  std::map<std::vector<ElementId>, std::size_t> async_ids;  // label set -> pool id
   std::vector<std::pair<Time, std::size_t>> periodic_ids;
-  const auto async_offsets_id = [&]() -> std::size_t {
-    if (async_id != static_cast<std::size_t>(-1)) return async_id;
-    std::vector<Time> offsets;
-    offsets.reserve(ops.size() + 1);
-    offsets.push_back(0);
-    for (const ScheduledOp& op : ops) {
-      if (op.start + 1 < period) offsets.push_back(op.start + 1);
-    }
-    out.offset_pool.push_back(std::move(offsets));
-    async_id = out.offset_pool.size() - 1;
-    return async_id;
+  const auto async_offsets_id = [&](const TaskGraph& tg) -> std::size_t {
+    std::vector<ElementId> label_set = tg.labels();
+    std::sort(label_set.begin(), label_set.end());
+    label_set.erase(std::unique(label_set.begin(), label_set.end()), label_set.end());
+    const auto [it, inserted] = async_ids.emplace(std::move(label_set), out.offset_pool.size());
+    if (inserted) out.offset_pool.emplace_back();
+    return it->second;
   };
   const auto periodic_offsets_id = [&](Time p, Time cycle) -> std::size_t {
     for (const auto& [key, id] : periodic_ids) {
@@ -815,10 +835,19 @@ VerifyPlan build_verify_plan(const StaticSchedule& sched, const GraphModel& mode
       plan.offsets_id = periodic_offsets_id(c.period, cycle);
     } else {
       plan.periods = unroll_budget(c.task_graph);
-      plan.offsets_id = async_offsets_id();
+      plan.offsets_id = async_offsets_id(c.task_graph);
     }
-    out.work_units += out.offset_pool[plan.offsets_id].size();
     out.max_periods = std::max(out.max_periods, plan.periods);
+  }
+
+  std::vector<std::span<const ElementId>> label_sets;
+  for (const auto& [label_set, id] : async_ids) label_sets.emplace_back(label_set);
+  std::vector<std::vector<Time>> async_lists = jump_points(ops, period, label_sets);
+  std::size_t k = 0;
+  for (const auto& [label_set, id] : async_ids) out.offset_pool[id] = std::move(async_lists[k++]);
+
+  for (const ConstraintPlan& plan : out.plans) {
+    if (!plan.fixed) out.work_units += out.offset_pool[plan.offsets_id].size();
   }
   return out;
 }
@@ -1352,8 +1381,9 @@ const FeasibilityReport& IncrementalVerifier::verify_drop(
       },
       [&](std::size_t i, std::size_t j) {
         // The dropped execution's window begin disappears from the
-        // candidate's async offset set; periodic invocation instants
-        // are schedule-independent.
+        // candidate's async offset lists (only lists of label sets that
+        // hold the dropped element contain it); periodic invocation
+        // instants are schedule-independent.
         return model_->constraint(i).periodic() ||
                im.plan.offsets_of(i)[j] != im.dropped_offset;
       });
@@ -1376,7 +1406,8 @@ void IncrementalVerifier::commit_drop() {
   if (!next->table.queries.empty()) {
     next->index = UnrollIndex(old.candidate, next->plan.max_periods);
     // Carry the cache over: every new query existed in the old table
-    // (offsets only shrink), keyed by task-graph fingerprint because tg
+    // (offsets only shrink: the dropped start leaves the lists that
+    // held it and no other), keyed by task-graph fingerprint because tg
     // ids can shift when a constraint turned fixed. Cached witnesses
     // from the old view remap into the shortened period (base indices
     // above the dropped op shift down by one); re-queried slots are

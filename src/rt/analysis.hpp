@@ -44,10 +44,14 @@ enum class PriorityOrder {
 /// True iff every task's worst-case response time is <= its deadline.
 [[nodiscard]] bool fixed_priority_schedulable(const TaskSet& ts, PriorityOrder order);
 
-/// EDF exact test for periodic sets with constrained deadlines: demand
-/// bound function h(t) = Σ_i max(0, floor((t - d_i)/p_i) + 1) c_i must
-/// satisfy h(t) <= t for all absolute deadlines t up to the analysis
-/// bound (min of hyperperiod and the busy-period bound).
+/// EDF exact test for synchronous periodic sets with constrained
+/// deadlines: demand bound function h(t) = Σ_i max(0, floor((t - d_i)/p_i)
+/// + 1) c_i must satisfy h(t) <= t for all absolute deadlines t up to
+/// min(H, L), where H is the hyperperiod and L the synchronous busy
+/// period (least fixed point of L = Σ ceil(L/p_i) c_i). A first
+/// violation always lies inside the busy period (Ripoll, Crespo & Mok
+/// 1996), so the verdict equals the full-hyperperiod check while the
+/// work is bounded by the deadlines inside L.
 /// Throws std::invalid_argument if some d_i > p_i.
 [[nodiscard]] bool edf_schedulable(const TaskSet& ts);
 

@@ -11,7 +11,11 @@
 //   * IncrementalVerifier's drop reports must equal a from-scratch
 //     verify of each candidate, across commits;
 //   * compact_schedule on the incremental verifier must reproduce the
-//     legacy generate-and-test compaction exactly.
+//     legacy generate-and-test compaction exactly;
+//   * an async constraint is queried only at its own jump points J_C
+//     (0 and every start + 1 of an execution of one of its elements),
+//     and the narrowed set reproduces the flat reference, which still
+//     queries every execution start.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -24,6 +28,7 @@
 #include "core/model.hpp"
 #include "core/optimize.hpp"
 #include "core/static_schedule.hpp"
+#include "gen/generator.hpp"
 #include "graph/generators.hpp"
 #include "sim/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -513,6 +518,216 @@ TEST(VerifyCounters, SerialEngineReportsKernelActivity) {
   EXPECT_GT(stats.embedding_queries, 1u);
   EXPECT_GT(stats.index_seeks, 0u);
   EXPECT_GT(stats.arena_reuses, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Per-constraint jump points: the indexed engine queries J_C, the flat
+// reference the full jump set J; the reports must agree.
+
+void expect_matches_flat(const StaticSchedule& sched, const GraphModel& model,
+                         const std::string& what) {
+  const FeasibilityReport flat =
+      verify_schedule(sched, model, VerifyOptions{.flat_reference = true});
+  for (const std::size_t n_threads : {1, 4}) {
+    VerifyStats stats;
+    const FeasibilityReport indexed = verify_schedule(
+        sched, model, VerifyOptions{.n_threads = n_threads, .stats = &stats});
+    ASSERT_EQ(indexed, flat) << what << " n_threads = " << n_threads;
+    EXPECT_EQ(stats.embedding_queries + stats.memo_hits, stats.work_units) << what;
+  }
+}
+
+TEST(JumpPoints, CorpusSliceMatchesFlatReference) {
+  std::size_t verified = 0;
+  for (std::uint64_t index = 0; index < 200; ++index) {
+    const gen::Scenario scenario = gen::generate(gen::corpus_options(index));
+    const HeuristicResult built =
+        latency_schedule(scenario.model, HeuristicOptions{.n_threads = 1});
+    if (!built.success) continue;
+    expect_matches_flat(*built.schedule, built.scheduled_model,
+                        "corpus index " + std::to_string(index));
+    ++verified;
+  }
+  EXPECT_GT(verified, 100u);
+}
+
+// The long coprime-period family of the synth_verify benchmark workload:
+// 24 elements, 8 constraints, schedules of 100 000..130 000 slots. Two
+// of them keep the flat reference affordable.
+TEST(JumpPoints, LongCoprimeSchedulesMatchFlatReference) {
+  std::size_t verified = 0;
+  for (std::uint64_t draw = 0; verified < 2 && draw < 200; ++draw) {
+    gen::ScenarioOptions o;
+    o.seed = 1000 + draw;
+    o.platform.topology = static_cast<gen::Topology>(draw % 5);
+    o.platform.elements = 24;
+    o.platform.max_weight = 2;
+    o.constraints.constraints = 8;
+    o.constraints.utilization = 0.3;
+    o.constraints.periods = gen::PeriodFamily::kCoprime;
+    o.constraints.max_ops = 5;
+    const gen::Scenario scenario = gen::generate(o);
+    const HeuristicResult built =
+        latency_schedule(scenario.model, HeuristicOptions{.n_threads = 1});
+    if (!built.success || built.schedule->length() < 100'000 ||
+        built.schedule->length() > 130'000) {
+      continue;
+    }
+    expect_matches_flat(*built.schedule, built.scheduled_model,
+                        "draw " + std::to_string(draw));
+    ++verified;
+  }
+  EXPECT_EQ(verified, 2u);
+}
+
+// Two unit elements, one async constraint over each: `a` runs at 0 and
+// 10 of a 20-slot cycle, `b` fills every other slot.
+struct SparseElementCase {
+  GraphModel model;
+  StaticSchedule sched;
+};
+
+SparseElementCase sparse_element_case(bool with_b_constraint) {
+  CommGraph comm;
+  comm.add_element("a", 1);
+  comm.add_element("b", 1);
+  GraphModel model(std::move(comm));
+  TaskGraph ta;
+  ta.add_op(0);
+  model.add_constraint(
+      TimingConstraint{"ca", std::move(ta), 1, 12, ConstraintKind::kAsynchronous});
+  if (with_b_constraint) {
+    TaskGraph tb;
+    tb.add_op(1);
+    model.add_constraint(
+        TimingConstraint{"cb", std::move(tb), 1, 4, ConstraintKind::kAsynchronous});
+  }
+  StaticSchedule sched;
+  for (int half = 0; half < 2; ++half) {
+    sched.push_execution(0, 1);
+    for (int i = 0; i < 9; ++i) sched.push_execution(1, 1);
+  }
+  return {std::move(model), std::move(sched)};
+}
+
+TEST(JumpPoints, SparseElementWorkUnitsArePinned) {
+  // J_ca = {0} ∪ {s + 1 : s in {0, 10}} — 1 + 2 units, not the 20 of
+  // the full jump set.
+  const SparseElementCase one = sparse_element_case(false);
+  VerifyStats stats;
+  const FeasibilityReport report =
+      verify_schedule(one.sched, one.model, VerifyOptions{.n_threads = 1, .stats = &stats});
+  EXPECT_EQ(stats.work_units, 1u + 2u);
+  ASSERT_TRUE(report.verdicts[0].latency.has_value());
+  EXPECT_EQ(*report.verdicts[0].latency, 10);  // from 1, the `a` at 10 finishes at 11
+  expect_matches_flat(one.sched, one.model, "a only");
+
+  // Adding cb over `b`: its starts below P - 1 are 1..9 and 11..18, so
+  // J_cb has 1 + 17 points, and ca's count is unchanged.
+  const SparseElementCase two = sparse_element_case(true);
+  (void)verify_schedule(two.sched, two.model, VerifyOptions{.n_threads = 1, .stats = &stats});
+  EXPECT_EQ(stats.work_units, (1u + 2u) + (1u + 17u));
+  expect_matches_flat(two.sched, two.model, "a and b");
+}
+
+// Dropping an execution of `a` removes its start + 1 from J_ca only; the
+// incremental session must still agree with a fresh verification, for
+// drops of either element, across commits, and through compaction.
+TEST(JumpPoints, DropOfOneConstraintsElementMatchesFreshVerify) {
+  const SparseElementCase two = sparse_element_case(true);
+  StaticSchedule sched = two.sched;
+  IncrementalVerifier verifier(two.model);
+  ASSERT_EQ(verifier.verify(sched),
+            verify_schedule(sched, two.model, VerifyOptions{.n_threads = 1}));
+  std::size_t committed = 0;
+  for (const std::size_t entry : {std::size_t{10}, std::size_t{3}, std::size_t{0}}) {
+    const StaticSchedule candidate = drop_to_idle(sched, entry);
+    const FeasibilityReport& incremental = verifier.verify_drop(candidate, entry);
+    const FeasibilityReport fresh =
+        verify_schedule(candidate, two.model, VerifyOptions{.n_threads = 1});
+    ASSERT_EQ(incremental, fresh) << "entry " << entry;
+    if (!incremental.feasible) continue;
+    verifier.commit_drop();
+    sched = candidate;
+    EXPECT_EQ(verifier.report(), fresh);
+    ++committed;
+  }
+  // Dropping `a` at 10 leaves a window [1, 21) with no `a`: infeasible
+  // (latency 20 > 12); the `b` drop at 3 is feasible; the last `a`
+  // drop loses coverage.
+  EXPECT_EQ(committed, 1u);
+
+  std::size_t removed = 0;
+  OptimizeStats stats;
+  const StaticSchedule fast = compact_schedule(two.sched, two.model, &stats);
+  EXPECT_EQ(fast, reference_compact(two.sched, two.model, &removed));
+  EXPECT_EQ(stats.executions_removed, removed);
+  EXPECT_GT(removed, 0u);
+}
+
+// A cancel flag set before the call ends a construction over a
+// 10.7 M-slot hyperperiod with "cancelled" and still bumps the beacon.
+TEST(HeuristicCancel, PresetCancelStopsALongConstruction) {
+  CommGraph comm;
+  comm.add_element("a", 1);
+  comm.add_element("b", 1);
+  comm.add_element("c", 1);
+  GraphModel model(std::move(comm));
+  const Time deadlines[] = {2 * 211 - 1, 2 * 223 - 1, 2 * 227 - 1};  // servers 211, 223, 227
+  for (ElementId e = 0; e < 3; ++e) {
+    TaskGraph tg;
+    tg.add_op(e);
+    model.add_constraint(TimingConstraint{"c" + std::to_string(e), std::move(tg), 1,
+                                          deadlines[e], ConstraintKind::kAsynchronous});
+  }
+  HeuristicOptions options;
+  options.n_threads = 1;
+  options.max_schedule_length = 100'000'000;
+  const HeuristicResult uncancelled = latency_schedule(model, options);
+  ASSERT_TRUE(uncancelled.success);
+  ASSERT_EQ(uncancelled.schedule->length(), 211 * 223 * 227);
+
+  std::atomic<bool> cancel{true};
+  std::atomic<std::uint64_t> progress{0};
+  options.cancel = &cancel;
+  options.progress = &progress;
+  const HeuristicResult h = latency_schedule(model, options);
+  EXPECT_FALSE(h.success);
+  EXPECT_EQ(h.failure_reason, "cancelled");
+  EXPECT_FALSE(h.schedule.has_value());
+  EXPECT_GT(progress.load(), 0u);
+}
+
+// Unpipelined weights make the op-granularity EDF loop miss a deadline
+// that the demand test admits, after more than 1024 loop steps. The
+// loop's own poll is then the only place a preset cancel can be seen:
+// verification is never reached.
+TEST(HeuristicCancel, PresetCancelIsPolledInsideTheEdfLoop) {
+  CommGraph comm;
+  comm.add_element("a", 4);
+  comm.add_element("b", 2);
+  comm.add_element("c", 2);
+  GraphModel model(std::move(comm));
+  const std::pair<ElementId, Time> constraints[] = {{0, 72}, {1, 82}, {0, 12}, {2, 43}};
+  for (const auto& [elem, deadline] : constraints) {
+    TaskGraph tg;
+    tg.add_op(elem);
+    model.add_constraint(TimingConstraint{"c" + std::to_string(model.constraint_count()),
+                                          std::move(tg), 1, deadline,
+                                          ConstraintKind::kAsynchronous});
+  }
+  HeuristicOptions options;
+  options.pipeline = false;
+  options.n_threads = 1;
+  EXPECT_EQ(latency_schedule(model, options).failure_reason,
+            "EDF simulation: instance finished past its deadline");
+
+  std::atomic<bool> cancel{true};
+  std::atomic<std::uint64_t> progress{0};
+  options.cancel = &cancel;
+  options.progress = &progress;
+  EXPECT_EQ(latency_schedule(model, options).failure_reason, "cancelled");
+  EXPECT_EQ(progress.load(), 1u);  // the first poll, at loop step 1024
 }
 
 }  // namespace

@@ -6,6 +6,8 @@
 // deliberate.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/bounds.hpp"
 #include "core/feasibility.hpp"
 #include "core/heuristic.hpp"
@@ -146,6 +148,48 @@ TEST(Golden, OptimizerOnControlSystem) {
   // must find something to remove.
   EXPECT_GT(stats.executions_removed, 0u);
   EXPECT_LT(lean.busy(), h.schedule->busy());
+}
+
+// Fingerprint of the Theorem-3 construction over the corpus prefix:
+// every schedule entry, failure reason and verdict (satisfied and
+// latency) of latency_schedule on corpus 0..1499, with harmonized
+// periods off and on. It pins construction and verification outputs
+// byte for byte, so a speedup in the EDF demand test, the EDF loop or
+// the verifier's window set cannot change a schedule or a verdict
+// unnoticed. Regenerate with
+//   ctest --test-dir build -R LatencyScheduleCorpusFingerprint -V
+// and take the value from the failure message; the pinned value was
+// recorded at commit 21731a5, before the busy-period demand test, the
+// idle skip and the per-constraint jump points went in.
+TEST(Golden, LatencyScheduleCorpusFingerprint) {
+  std::string bytes;
+  const auto put = [&bytes](long long v) { bytes += std::to_string(v) + ','; };
+  for (const bool harmonize : {false, true}) {
+    for (std::uint64_t index = 0; index < 1500; ++index) {
+      const gen::Scenario scenario = gen::generate(gen::corpus_options(index));
+      core::HeuristicOptions options;
+      options.harmonize_periods = harmonize;
+      options.n_threads = 1;
+      const core::HeuristicResult h = core::latency_schedule(scenario.model, options);
+      bytes += h.failure_reason + '|';
+      put(h.success ? 1 : 0);
+      if (h.schedule) {
+        for (const core::ScheduleEntry& entry : h.schedule->entries()) {
+          put(static_cast<long long>(entry.elem));
+          put(entry.duration);
+        }
+      }
+      bytes += '|';
+      put(h.report.feasible ? 1 : 0);
+      for (const core::ConstraintVerdict& v : h.report.verdicts) {
+        put(static_cast<long long>(v.constraint));
+        put(v.satisfied ? 1 : 0);
+        put(v.latency ? *v.latency : -1);
+      }
+      bytes += '\n';
+    }
+  }
+  EXPECT_EQ(gen::fnv1a(bytes), 0xc0794953fe2a971dULL) << std::hex << "0x" << gen::fnv1a(bytes);
 }
 
 }  // namespace
