@@ -90,7 +90,10 @@ struct GameContext {
         periodic_lcm = rt::lcm_checked(periodic_lcm, c.period);
       }
     }
-    window.assign(static_cast<std::size_t>(max_deadline), kSlotPreStart);
+    // Built fresh rather than assign()ed into the empty member: GCC 12
+    // reports a bogus -Warray-bounds inside deque::_M_fill_assign
+    // (std::deque's fill-assign on an empty deque) at -O2.
+    window = std::deque<std::uint32_t>(static_cast<std::size_t>(max_deadline), kSlotPreStart);
   }
 
   // Checks every window that closes at the current clock. Returns false

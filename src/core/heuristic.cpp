@@ -136,7 +136,12 @@ HeuristicResult latency_schedule(const GraphModel& model, const HeuristicOptions
   // preemptive EDF at slot granularity.
   StaticSchedule sched;
   Time t = 0;
+  // Earliest next_release over all servers: no server releases before
+  // it, so process_releases skips its scan until `now` reaches it.
+  Time next_release = 0;
   auto process_releases = [&](Time now) -> bool {
+    if (now < next_release) return true;
+    next_release = hyper;
     for (Server& s : servers) {
       while (s.next_release <= now && s.next_release < hyper) {
         if (s.active) return false;  // previous instance unfinished at re-release
@@ -145,6 +150,7 @@ HeuristicResult latency_schedule(const GraphModel& model, const HeuristicOptions
         s.next_op = 0;
         s.next_release += s.period;
       }
+      next_release = std::min(next_release, s.next_release);
     }
     return true;
   };
@@ -180,10 +186,8 @@ HeuristicResult latency_schedule(const GraphModel& model, const HeuristicOptions
     if (pick == nullptr) {
       // Nothing runs until the next release (or the cycle end): idle up
       // to it in one step.
-      Time next = hyper;
-      for (const Server& s : servers) next = std::min(next, s.next_release);
-      sched.push_idle(next - t);
-      t = next;
+      sched.push_idle(next_release - t);
+      t = next_release;
       continue;
     }
     const auto [elem, weight] = pick->ops[pick->next_op];

@@ -332,6 +332,7 @@ bool EmbeddingKernel::solve(Time window_begin, const std::vector<bool>& excluded
   }
   if (tg_->empty()) {
     result_finish_ = window_begin;
+    result_start_ = window_begin;
     return true;
   }
   if (repeated_) {
@@ -362,6 +363,7 @@ bool EmbeddingKernel::solve(Time window_begin, const std::vector<bool>& excluded
   const std::size_t opp = index_->ops_per_period();
   const Time index_period = index_->period();
   Time makespan = window_begin;
+  Time first_start = kInf;
   for (OpId v : topo_) {
     Time ready = window_begin;
     for (OpId u : tg_->skeleton().predecessors(v)) {
@@ -404,6 +406,7 @@ bool EmbeddingKernel::solve(Time window_begin, const std::vector<bool>& excluded
       if (h.idx == UnrollIndex::npos) return false;
       finish_[v] = h.finish;
       chosen_[v] = h.idx;
+      first_start = std::min(first_start, h.start);
     } else {
       std::size_t idx = index_->first_at_or_after(tg_->label(v), ready, limit_,
                                                   &counters_.bitset_skips);
@@ -413,12 +416,15 @@ bool EmbeddingKernel::solve(Time window_begin, const std::vector<bool>& excluded
         ++counters_.index_seeks;
       }
       if (idx == UnrollIndex::npos) return false;
-      finish_[v] = index_->op(idx).finish();
+      const ScheduledOp op = index_->op(idx);
+      finish_[v] = op.finish();
       chosen_[v] = idx;
+      first_start = std::min(first_start, op.start);
     }
     makespan = std::max(makespan, finish_[v]);
   }
   result_finish_ = makespan;
+  result_start_ = first_start;
   return true;
 }
 
@@ -469,6 +475,15 @@ std::optional<EmbeddingWitness> EmbeddingKernel::witness_at(
     witness.assignment.assign(src, src + tg_->size());
   }
   return witness;
+}
+
+Time EmbeddingKernel::earliest_start() const {
+  if (!repeated_) return result_start_;
+  Time start = kInf;
+  for (std::size_t v = 0; v < tg_->size(); ++v) {
+    start = std::min(start, index_->op(best_assignment_[v]).start);
+  }
+  return start;
 }
 
 std::vector<ScheduledOp> ops_from_trace(const sim::ExecutionTrace& trace,
@@ -557,6 +572,19 @@ namespace {
 // occurrences are exhausted), so 2|C| + 2 periods always suffice.
 std::size_t unroll_budget(const TaskGraph& tg) { return 2 * tg.size() + 2; }
 
+// Unrolled periods the window queries of one constraint need: its
+// unroll budget past the last window start, which lies below the period
+// P (async, p == 0) or below lcm(P, p) (periodic). When that lcm
+// overflows only the budget is counted; such a constraint is rejected
+// by rt::lcm_checked once it is known to be covered.
+std::size_t query_periods(Time period, const TaskGraph& tg, Time p) {
+  const std::size_t budget = unroll_budget(tg);
+  if (p == 0) return budget;
+  const Time g = std::gcd(period, p);
+  if (period / g > std::numeric_limits<Time>::max() / p) return budget;
+  return budget + static_cast<std::size_t>(p / g);
+}
+
 // Window starts at which completion(t) can change, one list per label
 // set: for a task graph over the elements of `label_sets[k]`,
 // completion(t), the earliest finish of an embedding starting at or
@@ -565,7 +593,9 @@ std::size_t unroll_budget(const TaskGraph& tg) { return 2 * tg.size() + 2; }
 // such a start s. Its maximum of completion(t) - t over one period is
 // therefore attained at 0 or at one of those points (FORMALISM §3).
 // Each list is ascending and unique, since `ops` are in start order
-// with distinct starts; all lists come from one pass over `ops`.
+// with distinct starts; all lists come from one pass over `ops`. Only
+// the IncrementalVerifier, which caches a witness per window, needs
+// the lists themselves.
 std::vector<std::vector<Time>> jump_points(
     std::span<const ScheduledOp> ops, Time period,
     std::span<const std::span<const ElementId>> label_sets) {
@@ -584,10 +614,177 @@ std::vector<std::vector<Time>> jump_points(
   return lists;
 }
 
+// The distinct element labels of tg, ascending.
+std::vector<ElementId> label_set(const TaskGraph& tg) {
+  std::vector<ElementId> labels = tg.labels();
+  std::sort(labels.begin(), labels.end());
+  labels.erase(std::unique(labels.begin(), labels.end()), labels.end());
+  return labels;
+}
+
 // True iff every element of tg occurs at least once in the schedule.
-bool covers_elements(const StaticSchedule& sched, const TaskGraph& tg) {
+bool covers_elements(const UnrollIndex& index, const TaskGraph& tg) {
+  for (ElementId e : tg.labels()) {
+    if (index.occurrence_count(e) == 0) return false;
+  }
+  return true;
+}
+
+// |J_C| read off the index's occurrence rows: window 0 plus one point
+// per start s < P - 1 of an execution of an element in `labels`
+// (distinct). Starts are distinct, so only a row's last execution can
+// start at P - 1.
+std::size_t jump_point_count(const UnrollIndex& index, std::span<const ElementId> labels) {
+  std::size_t count = 1;
+  for (const ElementId e : labels) {
+    const std::span<const std::size_t> row = index.occurrences(e);
+    count += row.size();
+    if (!row.empty() && index.base_start(row.back()) + 1 >= index.period()) --count;
+  }
+  return count;
+}
+
+bool cancel_requested(const std::atomic<bool>* cancel,
+                      std::atomic<std::uint64_t>* progress = nullptr) {
+  if (progress != nullptr) progress->fetch_add(1, std::memory_order_relaxed);
+  return cancel != nullptr && cancel->load(std::memory_order_relaxed);
+}
+
+// The lags c(t) - t of the windows a walk visited for one constraint,
+// folded with max; `missing` records a window with no embedding.
+struct LagFold {
+  Time worst = std::numeric_limits<Time>::min();
+  bool missing = false;
+
+  void merge(const LagFold& other) {
+    worst = std::max(worst, other.worst);
+    missing = missing || other.missing;
+  }
+};
+
+// One ascending walk over the candidate windows of the constraints that
+// share a task graph and an op prefix. A walk queries a window t, gets
+// the earliest finish c and the earliest start s of that embedding, and
+// moves on to the first candidate after s: every window in (t, s] has
+// the same earliest finish and a smaller lag (FORMALISM §3), so it is
+// answered without a query. Async members (step 0) take every point of
+// J_C as a candidate, which is s + 1 for a start s of one of their
+// elements; periodic members (step p) their invocations 0, p, 2p, ...
+// Async and periodic constraints never share a walk: their op prefixes
+// differ.
+struct Walk {
+  const TaskGraph* tg = nullptr;
+  std::size_t periods = 0;  // op prefix, in periods
+  Time end = 0;             // candidates lie in [0, end): P or lcm(P, p)
+  std::vector<ElementId> labels;     // distinct labels (async walks)
+  std::vector<Time> steps;           // per member: 0 = async, else p
+  std::vector<std::size_t> members;  // constraint indices
+  std::size_t units = 0;             // the members' work units
+
+  [[nodiscard]] bool async() const { return steps.front() == 0; }
+};
+
+Time round_up(Time t, Time p) { return (t + p - 1) / p * p; }
+
+// First candidate of `walk` at or after t (kInf when there is none).
+Time first_candidate(const Walk& walk, const UnrollIndex& index, Time t) {
+  Time first = kInf;
+  if (walk.async()) {
+    if (t == 0) return 0;
+    for (const ElementId e : walk.labels) {
+      const std::size_t idx = index.first_at_or_after(e, t - 1, index.size());
+      if (idx != UnrollIndex::npos) first = std::min(first, index.op(idx).start + 1);
+    }
+    return first;
+  }
+  for (const Time p : walk.steps) first = std::min(first, round_up(t, p));
+  return first;
+}
+
+// First candidate of `walk` after a dominated stretch ending at s.
+Time next_candidate(const Walk& walk, Time s) {
+  if (walk.async()) return s + 1;
+  Time next = kInf;
+  for (const Time p : walk.steps) next = std::min(next, (s / p + 1) * p);
+  return next;
+}
+
+// Walks the candidates of `walk` in [begin, end), folding each member's
+// lags into out[k]. A periodic member's lag at a query t is taken at
+// its first invocation a >= t, provided the embedding still dominates
+// it (a <= s). Returns false when cancelled.
+bool run_walk(const Walk& walk, const UnrollIndex& index, EmbeddingKernel& kernel,
+              Time begin, Time end, std::span<LagFold> out,
+              const std::atomic<bool>* cancel, std::atomic<std::uint64_t>* progress) {
+  std::size_t visited = 0;
+  for (Time t = first_candidate(walk, index, begin); t < end;) {
+    if ((visited++ & 63) == 0 && cancel_requested(cancel, progress)) return false;
+    const std::optional<Time> finish = kernel.finish_at(t);
+    if (!finish) {
+      // No embedding from t on, hence none from any later window.
+      for (std::size_t k = 0; k < out.size(); ++k) {
+        const Time p = walk.steps[k];
+        if (p == 0 || round_up(t, p) < end) out[k].missing = true;
+      }
+      break;
+    }
+    const Time s = kernel.earliest_start();
+    for (std::size_t k = 0; k < out.size(); ++k) {
+      const Time p = walk.steps[k];
+      const Time at = p == 0 ? t : round_up(t, p);
+      if (at <= s && at < end) out[k].worst = std::max(out[k].worst, *finish - at);
+    }
+    t = next_candidate(walk, s);
+  }
+  return true;
+}
+
+// A one-constraint walk over [0, end) for the public single-constraint
+// entry points (`step` 0 = async, else the period p).
+LagFold walk_alone(const UnrollIndex& index, const TaskGraph& tg, std::size_t periods,
+                   Time end, Time step) {
+  const Walk walk{&tg, periods, end, label_set(tg), {step}, {0}, 0};
+  EmbeddingKernel kernel(tg, index, periods);
+  LagFold fold;
+  (void)run_walk(walk, index, kernel, 0, end, std::span(&fold, 1), nullptr, nullptr);
+  return fold;
+}
+
+}  // namespace
+
+std::optional<Time> schedule_latency(const StaticSchedule& sched, const TaskGraph& tg) {
+  if (tg.empty()) return 0;
+  if (sched.length() == 0) return std::nullopt;
+  // By cyclicity only window starts in [0, period) matter.
+  const std::size_t periods = unroll_budget(tg);
+  const UnrollIndex index(sched, periods);
+  if (!covers_elements(index, tg)) return std::nullopt;
+  const LagFold fold = walk_alone(index, tg, periods, sched.length(), 0);
+  if (fold.missing) return std::nullopt;  // cannot happen if covers_elements
+  return fold.worst;
+}
+
+bool periodic_satisfied(const StaticSchedule& sched, const TaskGraph& tg, Time p,
+                        Time d) {
+  if (p < 1 || d < 1) {
+    throw std::invalid_argument("periodic_satisfied: p and d must be >= 1");
+  }
+  if (tg.empty()) return true;
+  if (sched.length() == 0) return false;
+  const UnrollIndex index(sched, query_periods(sched.length(), tg, p));
+  if (!covers_elements(index, tg)) return false;
+  // Invocations at t = 0, p, ..., cycle - p repeat identically afterwards.
+  const Time cycle = rt::lcm_checked(sched.length(), p);
+  const LagFold fold = walk_alone(index, tg, index.periods(), cycle, p);
+  return !fold.missing && fold.worst <= d;
+}
+
+namespace {
+
+// True iff every element of tg occurs among `ops`.
+bool covers_ops(std::span<const ScheduledOp> ops, const TaskGraph& tg) {
   std::vector<bool> present;
-  for (const ScheduledOp& op : sched.ops()) {
+  for (const ScheduledOp& op : ops) {
     if (op.elem >= present.size()) present.resize(op.elem + 1, false);
     present[op.elem] = true;
   }
@@ -597,67 +794,22 @@ bool covers_elements(const StaticSchedule& sched, const TaskGraph& tg) {
   return true;
 }
 
-}  // namespace
-
-std::optional<Time> schedule_latency(const StaticSchedule& sched, const TaskGraph& tg) {
-  if (tg.empty()) return 0;
-  if (sched.length() == 0 || !covers_elements(sched, tg)) return std::nullopt;
-
-  const Time period = sched.length();
-  const UnrollIndex index(sched, unroll_budget(tg));
-  EmbeddingKernel kernel(tg, index);
-
-  // By cyclicity only window starts in [0, period) matter.
-  const std::span<const ElementId> labels = tg.labels();
-  const std::vector<Time> starts =
-      std::move(jump_points(sched.ops(), period, std::span(&labels, 1)).front());
-  Time latency = 0;
-  for (Time t : starts) {
-    const auto finish = kernel.finish_at(t);
-    if (!finish) return std::nullopt;  // cannot happen if covers_elements
-    latency = std::max(latency, *finish - t);
-  }
-  return latency;
-}
-
-bool periodic_satisfied(const StaticSchedule& sched, const TaskGraph& tg, Time p,
-                        Time d) {
-  if (p < 1 || d < 1) {
-    throw std::invalid_argument("periodic_satisfied: p and d must be >= 1");
-  }
-  if (tg.empty()) return true;
-  if (sched.length() == 0 || !covers_elements(sched, tg)) return false;
-
-  const Time period = sched.length();
-  const Time cycle = rt::lcm_checked(period, p);
-  // Invocations at t = 0, p, ..., cycle - p repeat identically afterwards.
-  const std::size_t periods_needed =
-      static_cast<std::size_t>(cycle / period) + unroll_budget(tg);
-  const UnrollIndex index(sched, periods_needed);
-  EmbeddingKernel kernel(tg, index);
-  for (Time t = 0; t < cycle; t += p) {
-    const auto finish = kernel.finish_at(t);
-    if (!finish || *finish > t + d) return false;
-  }
-  return true;
-}
-
-namespace {
-
 // Flat-scan reference verifier: the pre-index serial path, one
 // constraint at a time over materialized unroll_ops with linear element
 // scans, no memo. Kept (behind VerifyOptions::flat_reference) to pin
-// the legacy behavior for the differential suite. It queries the full
-// jump set J (every execution start + 1), not the per-label-set
-// jump_points, so it independently checks that narrowing.
+// the legacy behavior for the differential suite. It queries every
+// window of the full jump set J (every execution start + 1) and every
+// invocation, so it independently checks both the narrowing to J_C and
+// the walks' domination skips.
 std::optional<Time> schedule_latency_flat(const StaticSchedule& sched,
                                           const TaskGraph& tg) {
   if (tg.empty()) return 0;
-  if (sched.length() == 0 || !covers_elements(sched, tg)) return std::nullopt;
+  const std::vector<ScheduledOp> base = sched.ops();
+  if (sched.length() == 0 || !covers_ops(base, tg)) return std::nullopt;
   const Time period = sched.length();
   const std::vector<ScheduledOp> unrolled = unroll_ops(sched, unroll_budget(tg));
   std::vector<Time> candidates{0};
-  for (const ScheduledOp& op : sched.ops()) {
+  for (const ScheduledOp& op : base) {
     if (op.start + 1 < period) candidates.push_back(op.start + 1);
   }
   Time latency = 0;
@@ -675,7 +827,7 @@ bool periodic_satisfied_flat(const StaticSchedule& sched, const TaskGraph& tg, T
     throw std::invalid_argument("periodic_satisfied: p and d must be >= 1");
   }
   if (tg.empty()) return true;
-  if (sched.length() == 0 || !covers_elements(sched, tg)) return false;
+  if (sched.length() == 0 || !covers_ops(sched.ops(), tg)) return false;
   const Time period = sched.length();
   const Time cycle = rt::lcm_checked(period, p);
   const std::size_t periods_needed =
@@ -711,7 +863,7 @@ FeasibilityReport verify_flat(const StaticSchedule& sched, const GraphModel& mod
 // Structural fingerprint of a task graph. Constraints whose task graphs
 // are structurally identical (same op count, labels, and edges) produce
 // identical embedding queries over identical op spans, so they share
-// memo entries under one id.
+// one walk (and, in the IncrementalVerifier, memo entries) under one id.
 std::string task_graph_fingerprint(const TaskGraph& tg) {
   std::string key;
   auto put = [&key](std::uint64_t v) {
@@ -728,14 +880,16 @@ std::string task_graph_fingerprint(const TaskGraph& tg) {
 }
 
 // Plan of one constraint: either a fixed verdict (degenerate cases
-// answered without embedding queries) or a batch of independent
-// window-begin queries over a prefix of one shared unroll. The offset
-// list lives in the plan-wide pool (offsets_id) — async constraints
-// share one list per distinct label set, periodic constraints one per
-// period.
+// answered without embedding queries) or its window starts in [0, end)
+// over a prefix of one shared unroll. The IncrementalVerifier also
+// gives it an explicit offset list in the plan-wide pool (offsets_id):
+// async constraints share one list per distinct label set, periodic
+// constraints one per period.
 struct ConstraintPlan {
   std::size_t tg_id = 0;
   std::size_t periods = 0;  // op-span prefix length, in periods
+  Time end = 0;             // P (async) or lcm(P, p) (periodic)
+  std::size_t units = 0;    // |J_C| (async) or end / p (periodic)
   std::size_t offsets_id = static_cast<std::size_t>(-1);
   std::optional<ConstraintVerdict> fixed;
 };
@@ -745,69 +899,42 @@ struct VerifyPlan {
   std::vector<const TaskGraph*> tg_of_id;
   std::vector<std::vector<Time>> offset_pool;  // deduplicated offset lists
   std::size_t max_periods = 0;
-  std::size_t work_units = 0;  // total non-fixed (constraint, offset) units
+  std::size_t work_units = 0;  // total non-fixed (constraint, window) units
 
-  // Window begins of plan i, sorted ascending (non-fixed plans only).
+  // Window begins of plan i, sorted ascending (non-fixed plans only,
+  // after add_window_lists).
   [[nodiscard]] std::span<const Time> offsets_of(std::size_t i) const {
     return offset_pool[plans[i].offsets_id];
   }
 };
 
-VerifyPlan build_verify_plan(const StaticSchedule& sched, const GraphModel& model) {
-  // Argument validation mirrors the legacy paths: any malformed
-  // periodic constraint makes verification throw, so throw up front.
+// Periods the shared UnrollIndex must span: the longest op prefix any
+// constraint's queries need. Checks the periodic constraints first, as
+// the legacy paths did: any malformed one makes verification throw.
+std::size_t index_periods(const StaticSchedule& sched, const GraphModel& model) {
   for (const TimingConstraint& c : model.constraints()) {
     if (c.periodic() && (c.period < 1 || c.deadline < 1)) {
       throw std::invalid_argument("periodic_satisfied: p and d must be >= 1");
     }
   }
+  std::size_t periods = 0;
+  if (sched.length() == 0) return periods;
+  for (const TimingConstraint& c : model.constraints()) {
+    if (c.task_graph.empty()) continue;
+    periods = std::max(periods, query_periods(sched.length(), c.task_graph,
+                                              c.periodic() ? c.period : 0));
+  }
+  return periods;
+}
 
-  const Time period = sched.length();
+// Builds the plan from the schedule's index alone: coverage and the
+// async |J_C| counts come from its occurrence rows.
+VerifyPlan build_verify_plan(const UnrollIndex& index, const GraphModel& model) {
+  const Time period = index.period();
   VerifyPlan out;
   out.plans.resize(model.constraint_count());
+  out.max_periods = index.periods();
   std::unordered_map<std::string, std::size_t> tg_ids;
-
-  // One materialization of the schedule's executions serves element
-  // coverage checks and async offset lists for every constraint.
-  const std::vector<ScheduledOp> ops = sched.ops();
-  std::vector<bool> present;
-  for (const ScheduledOp& op : ops) {
-    if (op.elem >= present.size()) present.resize(op.elem + 1, false);
-    present[op.elem] = true;
-  }
-  const auto covered = [&present](const TaskGraph& tg) {
-    for (ElementId e : tg.labels()) {
-      if (e >= present.size() || !present[e]) return false;
-    }
-    return true;
-  };
-
-  // Offset-list pooling: an async list depends only on the schedule and
-  // the constraint's label set (its jump points), a periodic list only
-  // on the period p — so each distinct list is built exactly once. The
-  // async lists are filled after the loop, all in one pass over `ops`.
-  std::map<std::vector<ElementId>, std::size_t> async_ids;  // label set -> pool id
-  std::vector<std::pair<Time, std::size_t>> periodic_ids;
-  const auto async_offsets_id = [&](const TaskGraph& tg) -> std::size_t {
-    std::vector<ElementId> label_set = tg.labels();
-    std::sort(label_set.begin(), label_set.end());
-    label_set.erase(std::unique(label_set.begin(), label_set.end()), label_set.end());
-    const auto [it, inserted] = async_ids.emplace(std::move(label_set), out.offset_pool.size());
-    if (inserted) out.offset_pool.emplace_back();
-    return it->second;
-  };
-  const auto periodic_offsets_id = [&](Time p, Time cycle) -> std::size_t {
-    for (const auto& [key, id] : periodic_ids) {
-      if (key == p) return id;
-    }
-    std::vector<Time> offsets;
-    offsets.reserve(static_cast<std::size_t>(cycle / p));
-    for (Time t = 0; t < cycle; t += p) offsets.push_back(t);
-    out.offset_pool.push_back(std::move(offsets));
-    periodic_ids.emplace_back(p, out.offset_pool.size() - 1);
-    return out.offset_pool.size() - 1;
-  };
-
   for (std::size_t i = 0; i < model.constraint_count(); ++i) {
     const TimingConstraint& c = model.constraint(i);
     ConstraintPlan& plan = out.plans[i];
@@ -819,7 +946,7 @@ VerifyPlan build_verify_plan(const StaticSchedule& sched, const GraphModel& mode
       plan.fixed = fixed;
       continue;
     }
-    if (period == 0 || !covered(c.task_graph)) {
+    if (period == 0 || !covers_elements(index, c.task_graph)) {
       fixed.satisfied = false;
       plan.fixed = fixed;
       continue;
@@ -829,27 +956,58 @@ VerifyPlan build_verify_plan(const StaticSchedule& sched, const GraphModel& mode
     if (inserted) out.tg_of_id.push_back(&c.task_graph);
     plan.tg_id = it->second;
     if (c.periodic()) {
-      const Time cycle = rt::lcm_checked(period, c.period);
-      plan.periods =
-          static_cast<std::size_t>(cycle / period) + unroll_budget(c.task_graph);
-      plan.offsets_id = periodic_offsets_id(c.period, cycle);
+      plan.end = rt::lcm_checked(period, c.period);
+      plan.periods = static_cast<std::size_t>(plan.end / period) + unroll_budget(c.task_graph);
+      plan.units = static_cast<std::size_t>(plan.end / c.period);
     } else {
+      plan.end = period;
       plan.periods = unroll_budget(c.task_graph);
-      plan.offsets_id = async_offsets_id(c.task_graph);
+      plan.units = jump_point_count(index, label_set(c.task_graph));
     }
-    out.max_periods = std::max(out.max_periods, plan.periods);
-  }
-
-  std::vector<std::span<const ElementId>> label_sets;
-  for (const auto& [label_set, id] : async_ids) label_sets.emplace_back(label_set);
-  std::vector<std::vector<Time>> async_lists = jump_points(ops, period, label_sets);
-  std::size_t k = 0;
-  for (const auto& [label_set, id] : async_ids) out.offset_pool[id] = std::move(async_lists[k++]);
-
-  for (const ConstraintPlan& plan : out.plans) {
-    if (!plan.fixed) out.work_units += out.offset_pool[plan.offsets_id].size();
+    out.work_units += plan.units;
   }
   return out;
+}
+
+// Materializes the window lists the IncrementalVerifier caches a
+// witness for. An async list depends only on the schedule and the
+// constraint's label set (its jump points), a periodic list only on the
+// period p, so each distinct list is built once; the async lists come
+// from one pass over the schedule's executions.
+void add_window_lists(VerifyPlan& plan, const StaticSchedule& sched,
+                      const GraphModel& model) {
+  std::map<std::vector<ElementId>, std::size_t> async_ids;  // label set -> pool id
+  std::vector<std::pair<Time, std::size_t>> periodic_ids;
+  for (std::size_t i = 0; i < plan.plans.size(); ++i) {
+    ConstraintPlan& cp = plan.plans[i];
+    if (cp.fixed) continue;
+    const TimingConstraint& c = model.constraint(i);
+    if (!c.periodic()) {
+      const auto [it, inserted] =
+          async_ids.emplace(label_set(c.task_graph), plan.offset_pool.size());
+      if (inserted) plan.offset_pool.emplace_back();
+      cp.offsets_id = it->second;
+      continue;
+    }
+    const auto known = std::find_if(periodic_ids.begin(), periodic_ids.end(),
+                                    [&](const auto& entry) { return entry.first == c.period; });
+    if (known != periodic_ids.end()) {
+      cp.offsets_id = known->second;
+      continue;
+    }
+    std::vector<Time> offsets;
+    offsets.reserve(cp.units);
+    for (Time t = 0; t < cp.end; t += c.period) offsets.push_back(t);
+    cp.offsets_id = plan.offset_pool.size();
+    plan.offset_pool.push_back(std::move(offsets));
+    periodic_ids.emplace_back(c.period, cp.offsets_id);
+  }
+  std::vector<std::span<const ElementId>> label_sets;
+  for (const auto& [labels, id] : async_ids) label_sets.emplace_back(labels);
+  std::vector<std::vector<Time>> async_lists =
+      jump_points(sched.ops(), sched.length(), label_sets);
+  std::size_t k = 0;
+  for (const auto& [labels, id] : async_ids) plan.offset_pool[id] = std::move(async_lists[k++]);
 }
 
 // Deduplicated query table: one slot per distinct (tg_id, periods,
@@ -859,9 +1017,9 @@ VerifyPlan build_verify_plan(const StaticSchedule& sched, const GraphModel& mode
 // whose members all reference one pooled offset list — every async
 // group — skip the merge, and plans whose list *is* the group's slot
 // list are identity-mapped (a base offset instead of a materialized
-// per-offset vector). Slots of one group are contiguous, so a serial
-// executor reuses one kernel per group and parallel workers fill
-// disjoint slots lock-free.
+// per-offset vector). Slots of one group are contiguous, so the
+// IncrementalVerifier, which caches a witness per slot, reuses one
+// kernel per group.
 struct Query {
   std::size_t tg_id = 0;
   std::size_t periods = 0;
@@ -965,12 +1123,11 @@ QueryTable build_query_table(const VerifyPlan& plan) {
   return out;
 }
 
-// Reduces per-query finishes into the report with commutative
-// operations (max / conjunction), so verdicts are independent of which
-// worker answered which unit. `fixed_of(i)` may pre-empt a constraint,
+// Reduces the IncrementalVerifier's per-window finishes into the report
+// (max / conjunction). `fixed_of(i)` may pre-empt a constraint,
 // `finish_of(i, j)` yields the j-th offset's finish (kInf = none), and
-// `include(i, j)` filters offsets (the incremental path drops the
-// edited window; full verification includes everything).
+// `include(i, j)` filters offsets (a drop probe leaves out the edited
+// window; a baseline includes everything).
 template <typename FixedFn, typename FinishFn, typename IncludeFn>
 FeasibilityReport reduce_report(const VerifyPlan& plan, const GraphModel& model,
                                 FixedFn&& fixed_of, FinishFn&& finish_of,
@@ -1017,31 +1174,6 @@ FeasibilityReport reduce_report(const VerifyPlan& plan, const GraphModel& model,
   return report;
 }
 
-// Full reduce over a memoized finish table (serial and parallel paths).
-FeasibilityReport reduce_full(const VerifyPlan& plan, const QueryTable& table,
-                              const std::vector<Time>& memo, const GraphModel& model) {
-  return reduce_report(
-      plan, model,
-      [&](std::size_t i) { return plan.plans[i].fixed; },
-      [&](std::size_t i, std::size_t j) { return memo[table.slot(i, j)]; },
-      [](std::size_t, std::size_t) { return true; });
-}
-
-void fill_stats(VerifyStats* stats, const VerifyPlan& plan, const QueryTable& table,
-                const KernelCounters& counters, std::size_t threads_used,
-                std::size_t arena_peak) {
-  if (stats == nullptr) return;
-  stats->embedding_queries = table.queries.size();
-  stats->memo_hits = plan.work_units - table.queries.size();
-  stats->work_units = plan.work_units;
-  stats->index_seeks = counters.index_seeks;
-  stats->incremental_hits = 0;
-  stats->arena_reuses = counters.arena_reuses;
-  stats->bitset_skips = counters.bitset_skips;
-  stats->arena_bytes_peak = arena_peak;
-  stats->threads_used = threads_used;
-}
-
 // A report signalling cooperative cancellation: no verdicts, not
 // feasible, and never confusable with a real INFEASIBLE answer.
 FeasibilityReport cancelled_report() {
@@ -1051,78 +1183,137 @@ FeasibilityReport cancelled_report() {
   return report;
 }
 
-bool cancel_requested(const std::atomic<bool>* cancel,
-                      std::atomic<std::uint64_t>* progress = nullptr) {
-  if (progress != nullptr) progress->fetch_add(1, std::memory_order_relaxed);
-  return cancel != nullptr && cancel->load(std::memory_order_relaxed);
+// Work units per walk chunk. A walk of u units is cut into
+// ceil(u / kChunkUnits) chunks of equal time span, so the boundaries
+// depend on the plan alone and every counter is the same at every
+// thread count. A chunk costs one kernel set-up and at most one query
+// the previous chunk's last embedding would have dominated.
+constexpr std::size_t kChunkUnits = 2048;
+
+// Groups the non-fixed constraints by (task graph, op prefix), in order
+// of first appearance: one walk per group.
+std::vector<Walk> build_walks(const VerifyPlan& plan, const GraphModel& model) {
+  std::vector<Walk> walks;
+  for (std::size_t i = 0; i < plan.plans.size(); ++i) {
+    const ConstraintPlan& cp = plan.plans[i];
+    if (cp.fixed) continue;
+    const TaskGraph* tg = plan.tg_of_id[cp.tg_id];
+    auto walk = std::find_if(walks.begin(), walks.end(), [&](const Walk& w) {
+      return w.tg == tg && w.periods == cp.periods;
+    });
+    const TimingConstraint& c = model.constraint(i);
+    if (walk == walks.end()) {
+      walks.push_back(Walk{tg, cp.periods, cp.end, {}, {}, {}, 0});
+      walk = walks.end() - 1;
+      if (!c.periodic()) walk->labels = label_set(*tg);
+    }
+    walk->steps.push_back(c.periodic() ? c.period : 0);
+    walk->members.push_back(i);
+    walk->units += cp.units;
+  }
+  return walks;
 }
 
-// Indexed path: one shared read-only UnrollIndex and the query table
-// cut into contiguous parts, each filling its own memo slots. A part
-// sweeps its queries like one serial pass: one kernel per (tg_id,
-// periods) group segment, all backed by one bump arena that resets at
-// group switches, so each kernel re-lands on the same warm block. As
-// parts are contiguous, each sweeps its group segments in ascending
-// window order and the kernels' monotone seek hints amortize exactly as
-// in a single pass. (A shuffled deal gives every part a strided
-// subsequence whose hint walks re-cover the gaps.) The parts follow the
-// requested n_threads, never the host, and every query is pure, so
-// results and stats do not depend on which thread ran which part.
-FeasibilityReport verify_indexed(const StaticSchedule& sched, const GraphModel& model,
-                                 const VerifyPlan& plan, std::size_t n_threads,
-                                 VerifyStats* stats, const std::atomic<bool>* cancel,
-                                 std::atomic<std::uint64_t>* progress) {
-  const QueryTable table = build_query_table(plan);
-  const std::size_t n_queries = table.queries.size();
-  std::vector<Time> memo(n_queries, kInf);
+// The walk engine: one shared read-only UnrollIndex, every walk cut
+// into chunks (see kChunkUnits), and the chunks run on the process-wide
+// compute pool, at most `n_threads` at a time. Each chunk walks its
+// span with its own kernel and arena and keeps its folds and counters
+// in locals, published once at the end; the per-constraint reduce
+// (max / or) does not depend on which thread ran which chunk.
+FeasibilityReport verify_walks(const UnrollIndex& index, const GraphModel& model,
+                               const VerifyPlan& plan, std::size_t n_threads,
+                               const VerifyOptions& options) {
+  const std::vector<Walk> walks = build_walks(plan, model);
+  struct Chunk {
+    std::size_t walk = 0;
+    Time begin = 0;
+    Time end = 0;
+    std::size_t out = 0;  // first fold slot
+  };
+  std::vector<Chunk> chunks;
+  std::size_t n_folds = 0;
+  for (std::size_t w = 0; w < walks.size(); ++w) {
+    const Time end = walks[w].end;
+    const auto n = static_cast<Time>(std::min<std::size_t>(
+        static_cast<std::size_t>(end), (walks[w].units + kChunkUnits - 1) / kChunkUnits));
+    const Time width = end / n;
+    const Time extra = end % n;
+    for (Time i = 0; i < n; ++i) {
+      const Time begin = i * width + std::min(i, extra);
+      chunks.push_back(Chunk{w, begin, begin + width + (i < extra ? 1 : 0), n_folds});
+      n_folds += walks[w].members.size();
+    }
+  }
+
+  std::vector<LagFold> folds(n_folds);
+  std::vector<KernelCounters> chunk_counters(chunks.size());
+  std::vector<std::size_t> chunk_peaks(chunks.size(), 0);
+  std::atomic<bool> abandoned{false};
+  util::parallel_for(chunks.size(), util::resolve_threads(n_threads), [&](std::size_t ci) {
+    const Chunk& chunk = chunks[ci];
+    const Walk& walk = walks[chunk.walk];
+    std::vector<LagFold> local(walk.members.size());
+    util::Arena arena;
+    {
+      EmbeddingKernel kernel(*walk.tg, index, walk.periods, &arena);
+      if (!run_walk(walk, index, kernel, chunk.begin, chunk.end, local, options.cancel,
+                    options.progress)) {
+        abandoned = true;
+      }
+      chunk_counters[ci] = kernel.counters();
+    }
+    chunk_peaks[ci] = arena.bytes_peak();
+    std::copy(local.begin(), local.end(), folds.begin() + static_cast<std::ptrdiff_t>(chunk.out));
+  });
+  // A cancelled chunk left part of its span unvisited, so its folds
+  // cannot be reduced to a trustworthy verdict.
+  if (abandoned) return cancelled_report();
+
+  std::vector<LagFold> per_constraint(plan.plans.size());
   KernelCounters counters;
   std::size_t arena_peak = 0;
-  std::atomic<bool> abandoned{false};
-  if (n_queries != 0) {
-    const UnrollIndex index(sched, plan.max_periods);
-    const std::size_t n_parts = n_threads <= 1 ? 1 : std::min(n_queries, 4 * n_threads);
-    const std::size_t base = n_queries / n_parts;
-    const std::size_t extra = n_queries % n_parts;
-    std::vector<KernelCounters> part_counters(n_parts);
-    std::vector<std::size_t> part_peaks(n_parts, 0);
-    const auto run_part = [&](std::size_t pi) {
-      const std::size_t begin = pi * base + std::min(pi, extra);
-      const std::size_t end = begin + base + (pi < extra ? 1 : 0);
-      util::Arena arena;
-      std::optional<EmbeddingKernel> kernel;
-      std::size_t cur_tg = UnrollIndex::npos;
-      std::size_t cur_periods = 0;
-      for (std::size_t q = begin; q < end; ++q) {
-        if (((q - begin) & 63) == 0 && cancel_requested(cancel, progress)) {
-          abandoned = true;
-          break;
-        }
-        const Query& query = table.queries[q];
-        if (!kernel || query.tg_id != cur_tg || query.periods != cur_periods) {
-          if (kernel) {
-            part_counters[pi] += kernel->counters();
-            kernel.reset();  // before the arena reset: its scratch dies with it
-            arena.reset();
-          }
-          kernel.emplace(*plan.tg_of_id[query.tg_id], index, query.periods, &arena);
-          cur_tg = query.tg_id;
-          cur_periods = query.periods;
-        }
-        const auto finish = kernel->finish_at(query.t);
-        memo[q] = finish ? *finish : kInf;
-      }
-      if (kernel) part_counters[pi] += kernel->counters();
-      part_peaks[pi] = arena.bytes_peak();
-    };
-    util::parallel_for(n_parts, util::resolve_threads(n_threads), run_part);
-    for (const KernelCounters& c : part_counters) counters += c;
-    for (const std::size_t peak : part_peaks) arena_peak = std::max(arena_peak, peak);
+  for (std::size_t ci = 0; ci < chunks.size(); ++ci) {
+    const Walk& walk = walks[chunks[ci].walk];
+    for (std::size_t k = 0; k < walk.members.size(); ++k) {
+      per_constraint[walk.members[k]].merge(folds[chunks[ci].out + k]);
+    }
+    counters += chunk_counters[ci];
+    arena_peak = std::max(arena_peak, chunk_peaks[ci]);
   }
-  // A part that saw the cancel flag left its memo slots unanswered, so
-  // the table cannot be reduced to a trustworthy verdict.
-  if (abandoned) return cancelled_report();
-  fill_stats(stats, plan, table, counters, n_threads, arena_peak);
-  return reduce_full(plan, table, memo, model);
+
+  FeasibilityReport report;
+  report.feasible = true;
+  for (std::size_t i = 0; i < plan.plans.size(); ++i) {
+    ConstraintVerdict verdict;
+    if (plan.plans[i].fixed) {
+      verdict = *plan.plans[i].fixed;
+    } else {
+      verdict.constraint = i;
+      const TimingConstraint& c = model.constraint(i);
+      const LagFold& fold = per_constraint[i];
+      if (c.periodic()) {
+        verdict.satisfied = !fold.missing && fold.worst <= c.deadline;
+      } else {
+        if (!fold.missing) verdict.latency = fold.worst;
+        verdict.satisfied = verdict.latency.has_value() && *verdict.latency <= c.deadline;
+      }
+    }
+    report.feasible = report.feasible && verdict.satisfied;
+    report.verdicts.push_back(verdict);
+  }
+
+  if (VerifyStats* stats = options.stats; stats != nullptr) {
+    *stats = VerifyStats{};
+    stats->embedding_queries = counters.queries;
+    stats->memo_hits = plan.work_units - counters.queries;
+    stats->work_units = plan.work_units;
+    stats->index_seeks = counters.index_seeks;
+    stats->arena_reuses = counters.arena_reuses;
+    stats->bitset_skips = counters.bitset_skips;
+    stats->arena_bytes_peak = arena_peak;
+    stats->threads_used = n_threads;
+  }
+  return report;
 }
 
 }  // namespace
@@ -1140,7 +1331,8 @@ FeasibilityReport verify_schedule(const StaticSchedule& sched, const GraphModel&
     }
     return verify_flat(sched, model);
   }
-  const VerifyPlan plan = build_verify_plan(sched, model);
+  const UnrollIndex index(sched, index_periods(sched, model));
+  const VerifyPlan plan = build_verify_plan(index, model);
   std::size_t n_threads = options.n_threads;
   if (n_threads == 0) {
     // Small-work cutoff: fanning out a tiny plan costs more than it
@@ -1149,8 +1341,7 @@ FeasibilityReport verify_schedule(const StaticSchedule& sched, const GraphModel&
     const std::size_t hw = util::resolve_threads(0);
     n_threads = (hw <= 1 || plan.work_units < serial_parallel_cutoff()) ? 1 : hw;
   }
-  return verify_indexed(sched, model, plan, n_threads, options.stats, options.cancel,
-                        options.progress);
+  return verify_walks(index, model, plan, n_threads, options);
 }
 
 std::size_t serial_parallel_cutoff() { return 4096; }
@@ -1195,12 +1386,13 @@ IncrementalVerifier::IncrementalVerifier(const GraphModel& model) : model_(&mode
 
 void IncrementalVerifier::rebuild_baseline(const StaticSchedule& sched) {
   auto impl = std::make_shared<Impl>();
-  impl->plan = build_verify_plan(sched, *model_);
+  impl->index = UnrollIndex(sched, index_periods(sched, *model_));
+  impl->plan = build_verify_plan(impl->index, *model_);
+  add_window_lists(impl->plan, sched, *model_);
   impl->table = build_query_table(impl->plan);
   impl->memo.assign(impl->table.queries.size(), CachedQuery{});
   KernelCounters counters;
   if (!impl->table.queries.empty()) {
-    impl->index = UnrollIndex(sched, impl->plan.max_periods);
     std::optional<EmbeddingKernel> kernel;
     std::size_t cur_tg = UnrollIndex::npos;
     std::size_t cur_periods = 0;
@@ -1399,12 +1591,13 @@ void IncrementalVerifier::commit_drop() {
   }
   Impl& old = *impl_;
   auto next = std::make_shared<Impl>();
-  next->plan = build_verify_plan(old.candidate, *model_);
+  next->index = UnrollIndex(old.candidate, index_periods(old.candidate, *model_));
+  next->plan = build_verify_plan(next->index, *model_);
+  add_window_lists(next->plan, old.candidate, *model_);
   next->table = build_query_table(next->plan);
   next->memo.assign(next->table.queries.size(), CachedQuery{});
 
   if (!next->table.queries.empty()) {
-    next->index = UnrollIndex(old.candidate, next->plan.max_periods);
     // Carry the cache over: every new query existed in the old table
     // (offsets only shrink: the dropped start leaves the lists that
     // held it and no other), keyed by task-graph fingerprint because tg

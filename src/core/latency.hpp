@@ -216,6 +216,13 @@ class EmbeddingKernel {
   [[nodiscard]] std::optional<EmbeddingWitness> witness_at(
       Time window_begin, const std::vector<bool>& excluded = {});
 
+  /// Earliest start over the executions of the embedding the last
+  /// successful finish_at / witness_at returned (its window begin for
+  /// an empty task graph). Every window begin in (window_begin, start]
+  /// has the same earliest finish (FORMALISM §3), which is what lets the
+  /// verify walks skip them.
+  [[nodiscard]] Time earliest_start() const;
+
   [[nodiscard]] const KernelCounters& counters() const { return counters_; }
 
  private:
@@ -269,6 +276,7 @@ class EmbeddingKernel {
   bool hints_primed_ = false;
   Time best_ = 0;
   Time result_finish_ = 0;
+  Time result_start_ = 0;  // greedy path; BnB derives it from best_assignment_
   bool warm_ = false;
 
   KernelCounters counters_;
@@ -331,16 +339,21 @@ struct FeasibilityReport {
   friend bool operator==(const FeasibilityReport&, const FeasibilityReport&) = default;
 };
 
-/// Counters filled by the verification engine. Serial and parallel
-/// paths both deduplicate identical (task graph, span, window-begin)
-/// queries, so memo_hits can be non-zero at every thread count; the
-/// flat-scan reference path leaves everything but threads_used zero.
+/// Counters filled by the verification engine. They depend on the plan
+/// alone, so every one but threads_used is the same at every thread
+/// count; the flat-scan reference path leaves everything but
+/// threads_used zero.
 struct VerifyStats {
-  /// Embedding queries actually computed (memo misses).
+  /// Embedding queries actually computed.
   std::size_t embedding_queries = 0;
-  /// Embedding queries answered from the shared memo table.
+  /// Work units answered without a query of their own: windows a walk
+  /// skipped because an earlier query's embedding dominates them
+  /// (FORMALISM §3), and constraints sharing a walk with a structurally
+  /// identical one (the IncrementalVerifier: windows served from its
+  /// memo table). Always work_units - embedding_queries.
   std::size_t memo_hits = 0;
-  /// Work units (constraint x window-offset pairs).
+  /// Work units: per async constraint its jump points |J_C|, per
+  /// periodic constraint its invocations over lcm(P, p).
   std::size_t work_units = 0;
   /// UnrollIndex occurrence probes issued by the embedding kernels.
   std::size_t index_seeks = 0;
@@ -354,8 +367,8 @@ struct VerifyStats {
   std::size_t bitset_skips = 0;
   /// High-water mark of live scratch-arena bytes, maxed across workers.
   std::size_t arena_bytes_peak = 0;
-  /// Thread count the query table was partitioned for (1 = serial path,
-  /// including the auto mode's small-work / single-core fallback).
+  /// Thread count the walk chunks ran with (1 = serial path, including
+  /// the auto mode's small-work / single-core fallback).
   std::size_t threads_used = 0;
 
   VerifyStats& operator+=(const VerifyStats& other) {
@@ -373,13 +386,14 @@ struct VerifyStats {
 };
 
 struct VerifyOptions {
-  /// Threads for the per-constraint x per-window fan-out. The query
-  /// table is cut into 4 * n_threads contiguous parts that run on the
-  /// process-wide compute pool (util::parallel_for), at most
+  /// Threads for the walk chunks. Each walk (the constraints over one
+  /// task graph and op prefix) is cut into chunks whose boundaries
+  /// depend on the plan alone; the chunks run on the process-wide
+  /// compute pool (util::parallel_for), at most
   /// util::resolve_threads(n_threads) at a time, the caller included.
   /// 0 = auto: the hardware concurrency, except that single-core hosts
-  /// and plans below serial_parallel_cutoff() work units run as one
-  /// serial part. 1 = one serial part on the calling thread.
+  /// and plans below serial_parallel_cutoff() work units run serially.
+  /// 1 = every chunk in turn on the calling thread.
   std::size_t n_threads = 0;
   /// Optional engine counters.
   VerifyStats* stats = nullptr;
@@ -388,9 +402,10 @@ struct VerifyOptions {
   /// the differential suite; n_threads is ignored.
   bool flat_reference = false;
   /// Cooperative cancellation: when non-null and set, the engine stops
-  /// at the next query boundary and returns a report with
-  /// cancelled = true (and no verdicts). The service layer points this
-  /// at a per-job flag to enforce deadlines on long verifications.
+  /// at its next poll (every 64 queries of a walk chunk) and returns a
+  /// report with cancelled = true (and no verdicts). The service layer
+  /// points this at a per-job flag to enforce deadlines on long
+  /// verifications.
   const std::atomic<bool>* cancel = nullptr;
   /// Liveness beacon: when non-null the engine bumps it (relaxed) at
   /// every cancellation poll, so a watchdog can tell a slow-but-alive
@@ -398,11 +413,13 @@ struct VerifyOptions {
   std::atomic<std::uint64_t>* progress = nullptr;
 };
 
-/// Verifies with the default options (auto thread count). The result is
-/// bit-identical at every thread count: each (constraint, window
-/// offset) unit is an independent pure query, results are reduced with
-/// commutative operations (max / conjunction), and the memo table only
-/// caches deterministic query results.
+/// Verifies with the default options (auto thread count). Each group of
+/// constraints over one task graph is an ascending walk over its
+/// candidate windows that queries only the windows no earlier embedding
+/// dominates (FORMALISM §3). The result is bit-identical at every
+/// thread count: walk chunks are pure, their boundaries depend on the
+/// plan alone, and their lags are reduced with commutative operations
+/// (max / conjunction).
 [[nodiscard]] FeasibilityReport verify_schedule(const StaticSchedule& sched,
                                                 const GraphModel& model);
 

@@ -95,10 +95,16 @@ std::string StaticSchedule::to_string(const CommGraph& g) const {
         out.push_back('.');
       }
     } else {
-      out += g.has_element(entry.elem) ? g.name(entry.elem)
-                                       : "e" + std::to_string(entry.elem);
+      if (g.has_element(entry.elem)) {
+        out += g.name(entry.elem);
+      } else {
+        out += 'e';
+        out += std::to_string(entry.elem);
+      }
       if (entry.duration > 1) {
-        out += "[" + std::to_string(entry.duration) + "]";
+        out += '[';
+        out += std::to_string(entry.duration);
+        out += ']';
       }
     }
   }

@@ -19,6 +19,11 @@ std::string escape(const std::string& s) {
   return out;
 }
 
+// The element's name, or "e<id>" for an id the comm graph lacks.
+std::string element_name(const CommGraph& comm, ElementId e) {
+  return comm.has_element(e) ? comm.name(e) : std::string("e").append(std::to_string(e));
+}
+
 std::string op_label(const TaskGraph& tg, const CommGraph& comm, OpId op) {
   const ElementId e = tg.label(op);
   std::size_t count = 0, index = 0;
@@ -28,8 +33,8 @@ std::string op_label(const TaskGraph& tg, const CommGraph& comm, OpId op) {
       if (other < op) ++index;
     }
   }
-  std::string label = comm.has_element(e) ? comm.name(e) : "e" + std::to_string(e);
-  if (count > 1) label += "#" + std::to_string(index + 1);
+  std::string label = element_name(comm, e);
+  if (count > 1) label.append("#").append(std::to_string(index + 1));
   return label;
 }
 
@@ -96,8 +101,7 @@ std::string schedule_gantt(const StaticSchedule& sched, const CommGraph& comm) {
 
   std::size_t label_width = 4;
   for (const auto& [e, row] : rows) {
-    const std::string name =
-        comm.has_element(e) ? comm.name(e) : "e" + std::to_string(e);
+    const std::string name = element_name(comm, e);
     label_width = std::max(label_width, name.size());
   }
 
@@ -109,8 +113,7 @@ std::string schedule_gantt(const StaticSchedule& sched, const CommGraph& comm) {
   }
   os << "|\n";
   for (const auto& [e, row] : rows) {
-    const std::string name =
-        comm.has_element(e) ? comm.name(e) : "e" + std::to_string(e);
+    const std::string name = element_name(comm, e);
     os << name << std::string(label_width - name.size() + 1, ' ') << '|' << row
        << "|\n";
   }

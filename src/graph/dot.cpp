@@ -7,7 +7,7 @@ namespace rtg::graph {
 namespace {
 
 std::string node_label(const Digraph& g, NodeId v, const DotOptions& opts) {
-  std::string label = g.name(v).empty() ? "n" + std::to_string(v) : g.name(v);
+  std::string label = g.name(v).empty() ? std::string("n").append(std::to_string(v)) : g.name(v);
   if (opts.show_weights) {
     label += " (w=" + std::to_string(g.weight(v)) + ")";
   }

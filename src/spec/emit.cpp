@@ -24,7 +24,7 @@ std::string op_ref(const core::TaskGraph& tg, const core::CommGraph& comm,
   }
   std::string ref = comm.name(e);
   if (count > 1) {
-    ref += "#" + std::to_string(index + 1);
+    ref.append("#").append(std::to_string(index + 1));
   }
   return ref;
 }
