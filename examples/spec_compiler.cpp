@@ -667,8 +667,9 @@ int run(int argc, char** argv) {
                   static_cast<long long>(d.scheduled_model.constraint(i).deadline));
     }
     if (want_stats) {
-      std::printf("# stats: seam_windows=%llu seam_seeks=%llu threads=%llu "
-                  "witnesses=%zu\n",
+      std::printf("# stats: seam_candidates=%llu seam_windows=%llu seam_seeks=%llu "
+                  "threads=%llu witnesses=%zu\n",
+                  static_cast<unsigned long long>(d.seam_stats.candidates),
                   static_cast<unsigned long long>(d.seam_stats.windows),
                   static_cast<unsigned long long>(d.seam_stats.index_seeks),
                   static_cast<unsigned long long>(d.seam_stats.threads_used),

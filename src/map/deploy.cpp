@@ -190,13 +190,15 @@ Deployment deploy_assignment(const core::GraphModel& model, const Platform& plat
     }
   }
 
-  // 6a. Shard verification: the existing IncrementalVerifier per
-  // processor, against the projected sub-model.
+  // 6a. Shard verification: core::verify_schedule per processor,
+  // against the projected sub-model.
+  core::VerifyOptions shard_verify;
+  shard_verify.n_threads = 1;
   for (std::size_t p = 0; p < m; ++p) {
-    core::IncrementalVerifier verifier(out.shard_models[p]);
     ShardVerification shard;
     shard.proc = p;
-    shard.report = verifier.verify(out.local_schedules[p]);
+    shard.report =
+        core::verify_schedule(out.local_schedules[p], out.shard_models[p], shard_verify);
     const bool ok = shard.report.feasible;
     out.shard_reports.push_back(std::move(shard));
     if (!ok) {
@@ -206,9 +208,16 @@ Deployment deploy_assignment(const core::GraphModel& model, const Platform& plat
     }
   }
 
-  // 6b. Seam check: exact end-to-end latency across shards.
+  // 6b. Seam check: exact end-to-end latency across shards, every
+  // constraint against one context.
   bool all_ok = true;
   const auto& constraints = model.constraints();
+  std::size_t max_ops = 0;
+  for (const core::TimingConstraint& c : constraints) {
+    max_ops = std::max(max_ops, c.task_graph.size());
+  }
+  const SeamContext seam_context(out.processor_schedules, out.mapping.assignment,
+                                 out.comm, max_ops, options.flat_reference);
   for (std::size_t c = 0; c < constraints.size(); ++c) {
     GlobalWitness witness;
     bool cancelled = false;
@@ -220,9 +229,7 @@ Deployment deploy_assignment(const core::GraphModel& model, const Platform& plat
     seam.cancel = options.local.cancel;
     seam.progress = options.local.progress;
     seam.cancelled = &cancelled;
-    const auto latency =
-        distributed_latency(constraints[c].task_graph, out.processor_schedules,
-                            out.mapping.assignment, out.comm, seam);
+    const auto latency = seam_context.latency(constraints[c].task_graph, seam);
     if (cancelled) {
       out.cancelled = true;
       out.failure_reason = "cancelled";

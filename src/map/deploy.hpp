@@ -15,11 +15,11 @@
 //      is rejected here: the saturated-bus case);
 //   5. synthesize a static schedule per processor with the existing
 //      core::latency_schedule on the projected sub-constraints;
-//   6. verify in shards: core::IncrementalVerifier per processor on the
-//      local sub-model, then the cross-shard seam check
-//      (map::distributed_latency) measuring exact end-to-end latency,
-//      with the worst window's GlobalWitness re-validated by
-//      check_witness.
+//   6. verify in shards: core::verify_schedule per processor on the
+//      local sub-model, then the cross-shard seam check (one
+//      map::SeamContext queried per constraint) measuring exact
+//      end-to-end latency, with the worst window's GlobalWitness
+//      re-validated by check_witness.
 //
 // The final verification is exact, so the heuristic deadline split only
 // affects *which* deployments are found, never whether a reported
@@ -67,8 +67,8 @@ struct DeployOptions {
 /// One processor's local verification outcome.
 struct ShardVerification {
   ProcId proc = 0;
-  /// IncrementalVerifier report of the local schedule against the
-  /// projected sub-model (local element ids).
+  /// core::verify_schedule report (serial) of the local schedule
+  /// against the projected sub-model (local element ids).
   core::FeasibilityReport report;
 };
 

@@ -305,13 +305,18 @@ RerouteResult reroute_messages(const Deployment& deployment, const Platform& deg
 
   bool all_ok = true;
   const auto& constraints = deployment.scheduled_model.constraints();
+  std::size_t max_ops = 0;
+  for (const core::TimingConstraint& c : constraints) {
+    max_ops = std::max(max_ops, c.task_graph.size());
+  }
+  const SeamContext seam_context(deployment.processor_schedules,
+                                 deployment.mapping.assignment, out.comm, max_ops,
+                                 seam.flat_reference);
   for (std::size_t c = 0; c < constraints.size(); ++c) {
     GlobalWitness witness;
     SeamOptions opts = seam;
     opts.witness = &witness;
-    const auto latency = distributed_latency(
-        constraints[c].task_graph, deployment.processor_schedules,
-        deployment.mapping.assignment, out.comm, opts);
+    const auto latency = seam_context.latency(constraints[c].task_graph, opts);
     out.end_to_end.push_back(latency);
     if (!latency || *latency > constraints[c].deadline) {
       all_ok = false;
